@@ -12,8 +12,8 @@ The simulate module provides a reproducible Monte Carlo harness comparing
 the two, and repro rebuilds the shipped benchmark tables.
 """
 
-from .basis import (ExogenousForcing, ForcingSample, FourierForcing,
-                    MixedForcing, PolynomialForcing, ZeroForcing,
+from .basis import (ExogenousForcing, Exosystem, ForcingSample,
+                    FourierForcing, MixedForcing, PolynomialForcing, ZeroForcing,
                     evaluate_forcing, forcing_derivative, spec_from_config,
                     spec_to_config)
 from .errors import (AlignmentError, CsvFormatError, DataError,
@@ -25,7 +25,7 @@ from .grey import (GreyFitConfig, GreyModel, build_grey_regression, fit_grey,
 from .matching import (MatchingModel, build_matching_regression, fit_matching,
                        matching_forecast, matching_time_response)
 from .numerics import (LeastSquaresSolution, convolution_integral,
-                       matrix_exponential, polynomial_response,
+                       exosystem_response, matrix_exponential,
                        solve_least_squares)
 from .series import (ErrorReport, TimeGrid, VectorSeries, cusum,
                      integrate_piecewise_constant, integrate_piecewise_linear,

@@ -3,13 +3,16 @@
 A forcing spec describes the known input entering a linear model
 dz/dt = A z + B u(t) + c.  Polynomial and Fourier bases carry analytic
 antiderivatives and derivatives; exogenous forcing is a sampled series whose
-antiderivative is formed with the trapezoid rule.  The constant term is not
-a basis component: the grey pipeline always carries it separately and the
-matching pipeline attaches it explicitly.
+antiderivative is formed with the trapezoid rule.  Every spec also writes
+itself as an exosystem w' = S w, u = C w, through which time responses are
+propagated exactly.  The constant term is not a basis component: the grey
+pipeline always carries it separately and the matching pipeline attaches it
+explicitly.
 """
 
-from dataclasses import dataclass
-from math import pi
+from dataclasses import dataclass, field
+from math import factorial, pi
+from typing import Callable
 
 import numpy as np
 
@@ -23,6 +26,39 @@ class ForcingSample:
 
     values: np.ndarray
     antiderivatives: np.ndarray
+
+
+@dataclass(frozen=True)
+class Exosystem:
+    """Forcing written as the output u = C w of a linear system w' = S w.
+
+    `state(t, forward)` returns w(t) for a march that leaves t forward
+    (or backward) in time.  Sampled forcing is linear between its samples,
+    so its state, the value and the slope of u, holds only up to the next
+    knot and is re-read there; `domain` bounds the times where it is
+    defined.
+    """
+
+    generator: np.ndarray
+    output: np.ndarray
+    state: Callable
+    knots: np.ndarray = field(default_factory=lambda: np.empty(0))
+    domain: tuple = (-np.inf, np.inf)
+
+    @property
+    def is_polynomial(self):
+        """u is a polynomial in t: a nilpotent generator and no knots."""
+        power = np.linalg.matrix_power(self.generator, len(self.generator))
+        return not self.knots.size and not power.any()
+
+
+def _block_diagonal(blocks):
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
+    row = col = 0
+    for b in blocks:
+        out[row:row + b.shape[0], col:col + b.shape[1]] = b
+        row, col = row + b.shape[0], col + b.shape[1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -42,8 +78,9 @@ class ZeroForcing:
     def derivatives(self, times):
         return np.zeros((len(np.atleast_1d(times)), 0))
 
-    def monomial_matrix(self):
-        return np.zeros((0, 0))
+    def exosystem(self):
+        return Exosystem(np.zeros((0, 0)), np.zeros((0, 0)),
+                         lambda t, forward=True: np.zeros(0))
 
 
 @dataclass(frozen=True)
@@ -77,11 +114,13 @@ class PolynomialForcing:
             [i * t ** (i - 1) for i in range(1, self.degree + 1)]
         )
 
-    def monomial_matrix(self):
-        mono = np.zeros((self.degree, self.degree + 1))
-        for i in range(1, self.degree + 1):
-            mono[i - 1, i] = 1.0
-        return mono
+    def exosystem(self):
+        # w_j = t^j / j! for j = 0..degree: w_j' = w_{j-1} and u_i = i! w_i.
+        scale = np.array([factorial(j) for j in range(self.degree + 1)], dtype=float)
+        powers = np.arange(self.degree + 1)
+        return Exosystem(np.eye(self.degree + 1, k=-1),
+                         np.eye(self.degree, self.degree + 1, k=1) * scale,
+                         lambda t, forward=True: t ** powers / scale)
 
 
 @dataclass(frozen=True)
@@ -128,8 +167,11 @@ class FourierForcing:
             cols.append(-w * np.sin(w * t))
         return np.column_stack(cols)
 
-    def monomial_matrix(self):
-        return None
+    def exosystem(self):
+        # Each pair (sin wt, cos wt) turns as w' = [[0, w], [-w, 0]] w.
+        rotation = np.kron(np.diag(self._omegas()), [[0.0, 1.0], [-1.0, 0.0]])
+        return Exosystem(rotation, np.eye(self.dimension),
+                         lambda t, forward=True: self.values(t)[0])
 
 
 @dataclass(frozen=True)
@@ -170,8 +212,23 @@ class ExogenousForcing:
             "pipeline applies"
         )
 
-    def monomial_matrix(self):
-        return None
+    def exosystem(self):
+        # w = (u, du/dt), with du/dt constant between samples: every sample
+        # time is a knot where the slope changes.
+        own = self.series.grid.points
+        values = self.series.values
+        p = self.dimension
+        slopes = np.vstack([np.diff(values, axis=0) / np.diff(own)[:, None],
+                            np.zeros((1, p))])
+
+        def state(t, forward=True):
+            k = np.searchsorted(own, t, side="right" if forward else "left") - 1
+            k = min(max(k, 0), len(own) - 1)
+            return np.concatenate([values[k] + slopes[k] * (t - own[k]), slopes[k]])
+
+        return Exosystem(np.kron([[0.0, 1.0], [0.0, 0.0]], np.eye(p)),
+                         np.eye(p, 2 * p), state, knots=own,
+                         domain=(own[0], own[-1]))
 
 
 @dataclass(frozen=True)
@@ -198,17 +255,19 @@ class MixedForcing:
     def derivatives(self, times):
         return np.column_stack([p.derivatives(times) for p in self.parts])
 
-    def monomial_matrix(self):
-        blocks = [p.monomial_matrix() for p in self.parts]
-        if any(b is None for b in blocks):
-            return None
-        width = max((b.shape[1] for b in blocks), default=0)
-        mono = np.zeros((self.dimension, width))
-        row = 0
-        for b in blocks:
-            mono[row:row + b.shape[0], :b.shape[1]] = b
-            row += b.shape[0]
-        return mono
+    def exosystem(self):
+        parts = [p.exosystem() for p in self.parts]
+
+        def state(t, forward=True):
+            return np.concatenate([e.state(t, forward) for e in parts])
+
+        return Exosystem(
+            _block_diagonal([e.generator for e in parts]),
+            _block_diagonal([e.output for e in parts]),
+            state,
+            knots=np.unique(np.concatenate([e.knots for e in parts])),
+            domain=(max(e.domain[0] for e in parts), min(e.domain[1] for e in parts)),
+        )
 
 
 def evaluate_forcing(spec, grid):
@@ -220,70 +279,6 @@ def evaluate_forcing(spec, grid):
 def forcing_derivative(spec, grid):
     """Sample du/dt on a grid (analytic specs only)."""
     return spec.derivatives(grid.points)
-
-
-def forcing_callable(spec):
-    """Continuous evaluation t -> u(t) for quadrature.
-
-    Exogenous components are linearly interpolated inside their sample range.
-    """
-    if isinstance(spec, ExogenousForcing):
-        own_t = spec.series.grid.points
-        own_v = spec.series.values
-
-        def interp(t):
-            if t < own_t[0] - 1e-12 or t > own_t[-1] + 1e-12:
-                raise AlignmentError(
-                    f"t={t} outside exogenous sample range "
-                    f"[{own_t[0]}, {own_t[-1]}]"
-                )
-            return np.array(
-                [np.interp(t, own_t, own_v[:, j]) for j in range(own_v.shape[1])]
-            )
-
-        return interp
-    if isinstance(spec, MixedForcing):
-        calls = [forcing_callable(p) for p in spec.parts]
-
-        def combined(t):
-            return np.concatenate([c(t) for c in calls])
-
-        return combined
-    return lambda t: spec.values(np.array([t]))[0]
-
-
-def forcing_polynomial_coefficients(spec, b_matrix, constant):
-    """Monomial coefficients of g(t) = B u(t) + c, or None when u is not
-    polynomial.  Shape (d, q+1); shape (d, 0) for the homogeneous case."""
-    mono = spec.monomial_matrix()
-    if mono is None:
-        return None
-    if constant is not None:
-        d = len(constant)
-    elif b_matrix is not None and b_matrix.size:
-        d = b_matrix.shape[0]
-    else:
-        return np.zeros((0, 0))
-    width = mono.shape[1]
-    if constant is not None:
-        width = max(width, 1)
-    coeffs = np.zeros((d, width))
-    if mono.shape[0]:
-        coeffs[:, :mono.shape[1]] += b_matrix @ mono
-    if constant is not None:
-        coeffs[:, 0] += constant
-    return coeffs
-
-
-def derivative_monomial_matrix(spec):
-    """Monomial coefficients of du/dt, or None for non-polynomial specs."""
-    mono = spec.monomial_matrix()
-    if mono is None:
-        return None
-    if mono.shape[1] <= 1:
-        return np.zeros((mono.shape[0], max(mono.shape[1] - 1, 1) if mono.shape[0] else 0))
-    powers = np.arange(1, mono.shape[1])
-    return mono[:, 1:] * powers
 
 
 def spec_to_config(spec):

@@ -41,6 +41,11 @@ def _load_json(path):
         return json.load(fh)
 
 
+def _given(value, default):
+    """The option's value when it was given, even a falsy 0, else default."""
+    return default if value is None else value
+
+
 def _split_index(args, n):
     if args.split is not None and args.train_fraction is not None:
         raise ValueError("give either --split or --train-fraction, not both")
@@ -69,10 +74,7 @@ def cmd_fit(args):
     spec = _basis.spec_from_config(config.get("forcing", {"kind": "zero"}))
     kind = config.get("model", "matching")
     if kind == "grey":
-        fit_config = _grey.GreyFitConfig(
-            background_lambda=config.get("lambda", 0.5),
-            quadrature_steps_per_unit=config.get("quadrature_steps_per_unit", 50),
-        )
+        fit_config = _grey.GreyFitConfig(background_lambda=config.get("lambda", 0.5))
         model = _grey.fit_grey(train, spec, fit_config,
                                strategy=config.get("strategy", "fixed_first"))
         payload = _grey.model_to_dict(model)
@@ -137,8 +139,8 @@ def cmd_simulate(args):
         a_matrix=np.array(payload["A"], dtype=float),
         initial_state=np.array(payload["initial_state"], dtype=float),
         snr=float(payload["snr"]),
-        replications=args.reps or int(payload.get("replications", 200)),
-        seed=args.seed if args.seed is not None else int(payload.get("seed", 0)),
+        replications=_given(args.reps, int(payload.get("replications", 200))),
+        seed=_given(args.seed, int(payload.get("seed", 0))),
         forcing=_basis.spec_from_config(payload.get("forcing", {"kind": "zero"})),
         b_matrix=np.array(payload["B"], dtype=float) if "B" in payload else None,
         constant=np.array(payload["constant"], dtype=float)
@@ -174,12 +176,12 @@ def cmd_verify(args):
         shift = np.full(data.d, args.shift)
         report = _theory.check_translation_invariance(
             data, spec, shift=shift,
-            tol_params=args.tolerance or 1e-9,
-            tol_values=args.value_tolerance or 1e-8)
+            tol_params=_given(args.tolerance, 1e-9),
+            tol_values=_given(args.value_tolerance, 1e-8))
     elif args.check == "proposition1":
         data = _series.read_csv(args.input)
         report = _theory.check_proposition_equal_spacing(
-            data, tolerance=args.tolerance or 1e-9)
+            data, tolerance=_given(args.tolerance, 1e-9))
     elif args.check == "reduction":
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
         a = -0.2 - 0.3 * rng.random()
@@ -188,7 +190,7 @@ def cmd_verify(args):
         report = _theory.check_reduction_roundtrip(
             np.array([[a]]), rng.normal(size=(1, 2)), rng.normal(size=1),
             rng.normal(size=1), spec, grid,
-            tolerance=args.tolerance or 1e-6,
+            tolerance=_given(args.tolerance, 1e-6),
         )
     else:
         raise ValueError(f"unknown check {args.check!r}")
@@ -220,7 +222,7 @@ def _print_report(report, verbose):
 def cmd_reproduce(args):
     if args.case == "water":
         report = _repro.reproduce_water(
-            tolerance_value=args.tolerance or 0.01)
+            tolerance_value=_given(args.tolerance, 0.01))
         code = _print_report(report, args.verbose)
         print("\ncontext: reference scores of generic baselines on this split "
               "(not computed here):")

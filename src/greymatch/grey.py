@@ -25,18 +25,14 @@ class GreyFitConfig:
 
     background_lambda weights the earlier point of each interval in the
     background-value blend; 0.5 is the trapezoid rule used throughout the
-    literature.  quadrature_steps_per_unit controls the Simpson rule used
-    for non-polynomial forcing.
+    literature.
     """
 
     background_lambda: float = 0.5
-    quadrature_steps_per_unit: int = 50
 
     def __post_init__(self):
         if not 0.0 <= self.background_lambda <= 1.0:
             raise ValueError("background_lambda must lie in [0, 1]")
-        if self.quadrature_steps_per_unit < 1:
-            raise ValueError("quadrature_steps_per_unit must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -100,18 +96,20 @@ def fit_grey(raw, spec, config=None, strategy="fixed_first"):
     A = stacked[:d].T
     B = stacked[d:d + p].T if p else np.zeros((d, 0))
     c = stacked[d + p]
-    eta = select_initial_value(y, A, B, c, spec, strategy, config)
+    eta = select_initial_value(y, A, B, c, spec, strategy)
     return GreyModel(A, B, c, eta, spec, strategy, config, solution.residual_norm,
                      t1=float(y.grid.points[0]))
 
 
-def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times,
-                    steps_per_unit=50):
+def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
     """Solution of dz/dt = A z + B u(t) + c, z(t1) = eta, at given times.
 
-    Polynomial forcing goes through the exact augmented-matrix propagator;
-    anything else falls back to Simpson quadrature of the
-    variation-of-parameters integral.
+    The forcing spec is written as its exosystem and marched exactly with
+    the state (numerics.exosystem_response) for every forcing kind; times
+    before t1 march backward.  Pass constant=None for a model without c.
+    Raises OverflowGuardError when |A|_2 times the largest |t - t1| exceeds
+    RESPONSE_NORM_BUDGET, and AlignmentError at times outside the sample
+    range of exogenous forcing.
     """
     times = np.asarray(times, dtype=float)
     span = float(np.max(np.abs(times - t1), initial=0.0))
@@ -121,25 +119,9 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times,
             f"|A| * span = {norm * span:.1f} exceeds the stability budget "
             f"{RESPONSE_NORM_BUDGET}; refusing to exponentiate"
         )
-    coeffs = _basis.forcing_polynomial_coefficients(spec, b_matrix, constant)
-    if coeffs is not None:
-        return _numerics.polynomial_response(a_matrix, coeffs, eta, t1, times)
-    u_of = _basis.forcing_callable(spec)
-    if constant is None:
-        constant = np.zeros(len(eta))
-
-    def g(t):
-        return b_matrix @ u_of(t) + constant
-
-    return _numerics.quadrature_response(a_matrix, g, eta, t1, times, steps_per_unit)
-
-
-def _response_parts(A, B, c, spec, t1, times, steps_per_unit):
-    """Split the response into exp(A(t-t1)) blocks and the forced part."""
-    d = A.shape[0]
-    zero = linear_response(A, B, c, spec, np.zeros(d), t1, times, steps_per_unit)
-    propagators = [_numerics.matrix_exponential(A, t - t1) for t in times]
-    return propagators, zero
+    exo = spec.exosystem()
+    return _numerics.exosystem_response(a_matrix, b_matrix @ exo.output, constant,
+                                        exo, eta, t1, times)
 
 
 def _half_step_forcing_constant(grid, B, spec):
@@ -147,7 +129,7 @@ def _half_step_forcing_constant(grid, B, spec):
     at t = 0 of B u'(t - h/2) on a grid of common spacing h."""
     if not spec.dimension:
         return np.zeros(B.shape[0])
-    if spec.monomial_matrix() is None:
+    if not spec.exosystem().is_polynomial:
         raise StrategyError("reduced_half_step needs polynomial forcing; "
                             f"got {type(spec).__name__}")
     if len(grid) < 2 or not grid.is_uniform():
@@ -157,7 +139,7 @@ def _half_step_forcing_constant(grid, B, spec):
     return B @ spec.derivatives(np.array([-h / 2.0]))[0]
 
 
-def select_initial_value(y, A, B, c, spec, strategy, config=None):
+def select_initial_value(y, A, B, c, spec, strategy):
     """Choose the integration constant eta for the fitted structure.
 
     fixed_first anchors at the first cusum value, fixed_last at the final
@@ -178,7 +160,6 @@ def select_initial_value(y, A, B, c, spec, strategy, config=None):
     constant of the integral-matching fit with forcing u' on the same raw
     series; beyond degree 2 that tie breaks and no source settles the rule.
     """
-    config = config or GreyFitConfig()
     t = y.grid.points
     t1 = float(t[0])
     if strategy == "fixed_first":
@@ -194,16 +175,12 @@ def select_initial_value(y, A, B, c, spec, strategy, config=None):
             raise StrategyError(f"I - A is singular; {strategy} "
                                 "strategy not applicable") from exc
     if strategy == "fixed_last":
-        prop_n, forced = _response_parts(
-            A, B, c, spec, t1, np.array([t[-1]]), config.quadrature_steps_per_unit
-        )
-        back = _numerics.matrix_exponential(A, t1 - t[-1])
-        return back @ (y.values[-1] - forced[0])
+        return linear_response(A, B, c, spec, y.values[-1], float(t[-1]),
+                               np.array([t1]))[0]
     if strategy == "least_squares":
-        propagators, forced = _response_parts(
-            A, B, c, spec, t1, t, config.quadrature_steps_per_unit
-        )
-        design = np.vstack(propagators)
+        # the response is affine in eta: exp(A (t - t1)) eta + forced(t)
+        forced = linear_response(A, B, c, spec, np.zeros(len(c)), t1, t)
+        design = np.vstack([_numerics.matrix_exponential(A, tk - t1) for tk in t])
         target = (y.values - forced).reshape(-1)
         return _numerics.solve_least_squares(design, target).coefficients
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -211,10 +188,8 @@ def select_initial_value(y, A, B, c, spec, strategy, config=None):
 
 def grey_time_response(model, times):
     """Cusum-scale response of a fitted grey model at the given times."""
-    values = linear_response(
-        model.A, model.B, model.c, model.spec, model.eta, model.t1,
-        np.asarray(times, dtype=float), model.config.quadrature_steps_per_unit,
-    )
+    values = linear_response(model.A, model.B, model.c, model.spec, model.eta,
+                             model.t1, np.asarray(times, dtype=float))
     return _series.make_series(times, values)
 
 
@@ -252,17 +227,13 @@ def model_to_dict(model):
         "eta": model.eta.tolist(),
         "strategy": model.strategy,
         "lambda": model.config.background_lambda,
-        "quadrature_steps_per_unit": model.config.quadrature_steps_per_unit,
         "t1": model.t1,
         "residual_norm": model.residual_norm,
     }
 
 
 def model_from_dict(payload):
-    config = GreyFitConfig(
-        background_lambda=payload.get("lambda", 0.5),
-        quadrature_steps_per_unit=payload.get("quadrature_steps_per_unit", 50),
-    )
+    config = GreyFitConfig(background_lambda=payload.get("lambda", 0.5))
     return GreyModel(
         A=np.array(payload["A"], dtype=float),
         B=np.array(payload["B"], dtype=float).reshape(len(payload["A"]), -1),

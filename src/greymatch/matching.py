@@ -32,7 +32,6 @@ class MatchingModel:
     include_constant: bool
     residual_norm: float = 0.0
     t1: float = 0.0
-    quadrature_steps_per_unit: int = 50
 
     @property
     def d(self):
@@ -90,10 +89,8 @@ def fit_matching(raw, spec, include_constant=True):
 
 def matching_time_response(model, times):
     """Evaluate the fitted reduced model at the given times."""
-    values = linear_response(
-        model.A, model.B, model.c, model.spec, model.eta, model.t1,
-        np.asarray(times, dtype=float), model.quadrature_steps_per_unit,
-    )
+    values = linear_response(model.A, model.B, model.c, model.spec, model.eta,
+                             model.t1, np.asarray(times, dtype=float))
     return _series.make_series(times, values)
 
 
@@ -125,7 +122,6 @@ def model_to_dict(model):
         "eta": model.eta.tolist(),
         "t1": model.t1,
         "residual_norm": model.residual_norm,
-        "quadrature_steps_per_unit": model.quadrature_steps_per_unit,
     }
     if model.include_constant:
         payload["c"] = model.c.tolist()
@@ -144,5 +140,4 @@ def model_from_dict(payload):
         include_constant=include_constant,
         residual_norm=payload.get("residual_norm", 0.0),
         t1=payload.get("t1", 0.0),
-        quadrature_steps_per_unit=payload.get("quadrature_steps_per_unit", 50),
     )

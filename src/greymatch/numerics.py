@@ -1,5 +1,6 @@
-"""Dense small-matrix utilities: least squares, matrix exponentials and the
-convolution integrals that appear in linear time response functions.
+"""Dense small-matrix utilities: least squares, matrix exponentials, the
+exact time response of a linear system driven by an exosystem, and a
+Simpson convolution integral kept as an independent check of it.
 
 Everything here works on plain numpy arrays.  Matrices are small (the rest
 of the package uses d <= 2 state dimensions and a handful of forcing
@@ -7,12 +8,12 @@ columns), so clarity wins over cleverness throughout.
 """
 
 from dataclasses import dataclass
-from math import ceil, factorial
 
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import SingularDesignError
+from .errors import AlignmentError, SingularDesignError
+from .series import UNIFORM_RTOL
 
 # Numerical rank threshold, relative to the largest singular value.
 RANK_TOLERANCE = 1e-10
@@ -109,80 +110,62 @@ def convolution_integral(a_matrix, forcing, t_from, t_to, steps):
     return weighted * delta / 3.0
 
 
-def _monomial_state(t, count):
-    """Vector (1, t, t^2/2!, ..., t^(count-1)/(count-1)!)."""
-    return np.array([t ** j / factorial(j) for j in range(count)])
+def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
+    """Exact solution of z' = A z + G w(t) + c, z(t1) = eta, at given times,
+    where the forcing state w follows an exosystem w' = S w
+    (basis.Exosystem).  Pass constant=None for no c.
 
-
-def _augmented_generator(a_matrix, coefficients):
-    """Block generator [[A, C], [0, N]] whose exponential propagates the
-    state jointly with the monomial basis of the polynomial forcing."""
-    d, width = coefficients.shape
-    scaled = coefficients * np.array([factorial(j) for j in range(width)])
-    shift = np.zeros((width, width))
-    for j in range(width - 1):
-        shift[j + 1, j] = 1.0
-    gen = np.zeros((d + width, d + width))
-    gen[:d, :d] = a_matrix
-    gen[:d, d:] = scaled
-    gen[d:, d:] = shift
-    return gen
-
-
-def polynomial_response(a_matrix, coefficients, eta, t1, times):
-    """Exact solution of z' = A z + g(t), z(t1) = eta, for polynomial g.
-
-    `coefficients` has shape (d, q+1) with g(t) = sum_j coefficients[:, j] t^j
-    (pass shape (d, 0) for the homogeneous equation).  Evaluation goes
-    through the exponential of an augmented block matrix, so no quadrature
-    error enters.  Returns an array of shape (len(times), d).
+    z and w march together through exp([[A, G, c], [0, S, 0], [0, 0, 0]] dt)
+    (Van Loan, IEEE TAC 23(3), 1978), so no quadrature error enters.  The
+    march runs outward from t1, forward to later times and backward to
+    earlier ones, and re-reads w at each knot of the exosystem on the way.
+    A step exponential is reused while the steps agree to UNIFORM_RTOL, so
+    equally spaced times cost one exponential.  Times outside the
+    exosystem's domain raise AlignmentError.  Returns an array of shape
+    (len(times), d).
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
-    coefficients = np.asarray(coefficients, dtype=float)
     eta = np.asarray(eta, dtype=float)
     times = np.asarray(times, dtype=float)
-    d = a_matrix.shape[0]
+    lo, hi = exosystem.domain
+    reached = np.append(times, t1)
+    outside = reached[(reached < lo - 1e-12) | (reached > hi + 1e-12)]
+    if outside.size:
+        raise AlignmentError(
+            f"t={outside[0]} outside the forcing's sample range [{lo}, {hi}]"
+        )
+    d, m = len(eta), len(exosystem.generator)
+    tail = np.ones(0 if constant is None else 1)
+    gen = np.zeros((d + m + len(tail), d + m + len(tail)))
+    gen[:d, :d] = a_matrix
+    gen[:d, d:d + m] = gain
+    gen[d:d + m, d:d + m] = exosystem.generator
+    if constant is not None:
+        gen[:d, -1] = constant
     out = np.empty((len(times), d))
-
-    if coefficients.shape[1] == 0:
-        state0 = eta
-        gen = a_matrix
-        basis = np.array([])
-    else:
-        gen = _augmented_generator(a_matrix, coefficients)
-        basis = _monomial_state(t1, coefficients.shape[1])
-        state0 = np.concatenate([eta, basis])
-
-    diffs = np.diff(times)
-    uniform = len(times) > 2 and diffs.size > 0 and np.allclose(
-        diffs, diffs[0], rtol=1e-12, atol=1e-14
-    )
-    if uniform:
-        # March with a single per-step exponential; exact up to round-off.
-        step = expm(gen * diffs[0])
-        state = expm(gen * (times[0] - t1)) @ state0
-        for k in range(len(times)):
-            out[k] = state[:d]
-            state = step @ state
-    else:
-        for k, t in enumerate(times):
-            out[k] = (expm(gen * (t - t1)) @ state0)[:d]
-    return out
-
-
-def quadrature_response(a_matrix, forcing, eta, t1, times, steps_per_unit=50):
-    """Solve z' = A z + g(t), z(t1) = eta, by Simpson quadrature of the
-    variation-of-parameters integral.  `forcing` maps a time to a d-vector.
-    """
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    out = np.empty((len(times), len(eta)))
-    for k, t in enumerate(times):
-        span = t - t1
-        if span == 0.0:
-            out[k] = eta
+    knots = exosystem.knots
+    for forward in (True, False):
+        sign = 1.0 if forward else -1.0
+        targets = np.flatnonzero((times >= t1) == forward)
+        if not targets.size:
             continue
-        steps = max(1, ceil(steps_per_unit * abs(span)))
-        integral = convolution_integral(a_matrix, forcing, t1, t, steps)
-        out[k] = expm(a_matrix * span) @ (eta + integral)
+        reach = sign * (knots - t1)
+        inner = knots[(reach > 0) & (reach < (sign * (times[targets] - t1)).max())]
+        # a knot sorts before a target at the same time; z is continuous there
+        stop_times = np.concatenate([inner, times[targets]])
+        stop_index = np.concatenate([np.full(len(inner), -1), targets])
+        order = np.argsort(sign * stop_times, kind="stable")
+        state = np.concatenate([eta, exosystem.state(t1, forward), tail])
+        at, h = t1, None
+        for t, k in zip(stop_times[order].tolist(), stop_index[order].tolist()):
+            if t != at:
+                if h is None or abs(t - at - h) > UNIFORM_RTOL * abs(h):
+                    h = t - at
+                    step = expm(gen * h)
+                state = step @ state
+                at = t
+            if k < 0:
+                state[d:d + m] = exosystem.state(t, forward)
+            else:
+                out[k] = state[:d]
     return out

@@ -14,6 +14,11 @@ import numpy as np
 
 from .errors import CsvFormatError, ZeroValueError
 
+# Relative spread of the steps below which times count as equally spaced,
+# here and in numerics.exosystem_response, which then reuses one step
+# exponential.  At 1e-12 that march stays exact to round-off.
+UNIFORM_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -42,11 +47,9 @@ class TimeGrid:
         h[1:] = np.diff(self.points)
         return h
 
-    def is_uniform(self, rtol=1e-9):
-        if len(self.points) < 3:
-            return True
-        d = np.diff(self.points)
-        return bool(np.allclose(d, d[0], rtol=rtol, atol=0.0))
+    def is_uniform(self):
+        steps = np.diff(self.points)
+        return bool(np.allclose(steps, steps[:1], rtol=UNIFORM_RTOL, atol=0.0))
 
     def extended(self, horizon):
         """Append `horizon` points continuing with the last interval width."""

@@ -122,6 +122,12 @@ def check_reduction_roundtrip(A, B, c, xi, spec, grid, tolerance=1e-6,
     Forward: along the cusum-side trajectory y, the reduced trajectory must
     equal A y + B u + c pointwise.  Backward: integrating the reduced
     trajectory from xi must recover y at every grid point.
+
+    The reduced trajectory solves x' = A x + B u'(t), x(t1) = A xi + B u(t1)
+    + c, and is propagated exactly: u' is the output C S w of the same
+    exosystem w' = S w that gives u = C w.  The backward integral is a
+    composite Simpson rule with steps_per_unit steps per time unit, so it
+    checks the propagator independently.
     """
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -129,26 +135,13 @@ def check_reduction_roundtrip(A, B, c, xi, spec, grid, tolerance=1e-6,
     t = grid.points
     t1 = float(t[0])
 
-    y = _grey.linear_response(A, B, c, spec, xi, t1, t, steps_per_unit)
+    y = _grey.linear_response(A, B, c, spec, xi, t1, t)
     x1 = reduce_order(A, B, c, xi, spec, t1)
-    dmono = _basis.derivative_monomial_matrix(spec)
-    if dmono is not None:
-        gcoeffs = (B @ dmono) if dmono.shape[0] else np.zeros((len(xi), 0))
+    exo = spec.exosystem()
+    gain = B @ exo.output @ exo.generator
 
-        def x_at(times):
-            return _numerics.polynomial_response(A, gcoeffs, x1, t1, times)
-    else:
-        u_of = _basis.forcing_callable(spec)
-
-        def du(s, eps=1e-6):
-            return (u_of(s + eps) - u_of(s - eps)) / (2 * eps)
-
-        def g(s):
-            return B @ du(s)
-
-        def x_at(times):
-            return _numerics.quadrature_response(A, g, x1, t1, times,
-                                                 steps_per_unit)
+    def x_at(times):
+        return _numerics.exosystem_response(A, gain, None, exo, x1, t1, times)
 
     x = x_at(t)
     u = spec.values(t) if spec.dimension else np.zeros((len(t), 0))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 import greymatch as gm
 from greymatch import repro
@@ -26,6 +27,32 @@ def make_stable_system(rng, d):
     a = rng.normal(scale=0.4, size=(d, d))
     shift = max(np.linalg.eigvals(a).real.max() - 0.4, 0.0)
     return a - shift * np.eye(d)
+
+
+def ode_oracle(a, g, eta, t1, times, knots=()):
+    """z(t) of z' = A z + g(t), z(t1) = eta, by DOP853 at rtol = atol = 1e-12.
+
+    The integration runs outward from t1 in each direction and restarts at
+    every knot, where g may have a kink, so that the error control never
+    steps across one.
+    """
+    out = np.empty((len(times), len(eta)))
+    for sign in (1.0, -1.0):
+        ahead = [k for k, t in enumerate(times) if sign * (t - t1) > 0]
+        if not ahead:
+            continue
+        far = max(sign * (times[k] - t1) for k in ahead)
+        inner = [q for q in knots if 0 < sign * (q - t1) < far]
+        stops = sorted({*(times[k] for k in ahead), *inner}, key=lambda s: sign * s)
+        z, at, reached = np.asarray(eta, dtype=float), t1, {}
+        for stop in stops:
+            z = solve_ivp(lambda s, y: a @ y + g(s), (at, stop), z,
+                          method="DOP853", rtol=1e-12, atol=1e-12).y[:, -1]
+            at, reached[stop] = stop, z
+        for k in ahead:
+            out[k] = reached[times[k]]
+    out[np.asarray(times) == t1] = eta
+    return out
 
 
 @pytest.fixture

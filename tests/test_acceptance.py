@@ -181,9 +181,9 @@ def test_criterion_06_order_reduction_round_trip():
         y_got = gm.grey.linear_response(
             np.array([[a]]), np.array([[b1, b2]]), np.array([c]),
             gm.PolynomialForcing(2), np.array([xi]), 0.0, t)[:, 0]
-        x_got = gm.polynomial_response(
-            np.array([[a]]), np.array([[b1, 2 * b2]]),
-            np.array([a * xi + c]), 0.0, t)[:, 0]
+        x_got = gm.grey.linear_response(
+            np.array([[a]]), np.array([[2 * b2]]), np.array([b1]),
+            gm.PolynomialForcing(1), np.array([a * xi + c]), 0.0, t)[:, 0]
         assert np.abs(y_got - y_exact).max() < 1e-8
         assert np.abs(x_got - x_exact).max() < 1e-8
 

@@ -91,45 +91,61 @@ class TestExogenous:
         with pytest.raises(UnsupportedForcingError):
             spec.derivatives(np.array([1.0]))
 
-    def test_callable_interpolates(self):
+    def test_exosystem_interpolates(self):
         spec = self.make_spec()
-        f = basis.forcing_callable(spec)
-        # halfway between samples 0.5 and 1.0
-        assert f(0.75)[0] == pytest.approx((np.sin(0.5) + np.sin(1.0)) / 2)
-        with pytest.raises(AlignmentError):
-            f(99.0)
+        exo = spec.exosystem()
+        # halfway between samples 0.5 and 1.0, marching either way
+        for forward in (True, False):
+            u = exo.output @ exo.state(0.75, forward)
+            assert u[0] == pytest.approx((np.sin(0.5) + np.sin(1.0)) / 2)
+        # within one interval the state flows with its generator
+        moved = gm.matrix_exponential(exo.generator, 0.15) @ exo.state(0.6)
+        assert np.allclose(moved, exo.state(0.75), atol=1e-14)
+        for outside in (99.0, -1.0):
+            with pytest.raises(AlignmentError):
+                gm.grey.linear_response(np.zeros((1, 1)), np.ones((1, 1)), None,
+                                        spec, np.zeros(1), 0.0, np.array([outside]))
 
 
 class TestPolynomialCoefficients:
     def test_grey_style_assembly(self):
+        # g(t) = B u(t) + c read off the exosystem: B C w(t) + c
         spec = gm.PolynomialForcing(2)
         B = np.array([[0.5, 0.25]])
         c = np.array([2.0])
-        coeffs = basis.forcing_polynomial_coefficients(spec, B, c)
-        assert np.allclose(coeffs, [[2.0, 0.5, 0.25]])
+        exo = spec.exosystem()
+        for t in (-1.5, 0.0, 0.7, 3.0):
+            g = B @ exo.output @ exo.state(t) + c
+            assert np.allclose(g, [np.polyval([0.25, 0.5, 2.0], t)])
 
     def test_zero_spec_with_constant(self):
-        coeffs = basis.forcing_polynomial_coefficients(
-            gm.ZeroForcing(), np.zeros((2, 0)), np.array([1.0, -1.0]))
-        assert np.allclose(coeffs, [[1.0], [-1.0]])
+        # z' = c from z(0) = 0 with A = 0: the constant is the slope
+        out = gm.grey.linear_response(np.zeros((2, 2)), np.zeros((2, 0)),
+                                      np.array([1.0, -1.0]), gm.ZeroForcing(),
+                                      np.zeros(2), 0.0, np.array([1.0]))
+        assert np.allclose(out.T, [[1.0], [-1.0]])
 
     def test_homogeneous_case(self):
-        coeffs = basis.forcing_polynomial_coefficients(
-            gm.ZeroForcing(), np.zeros((2, 0)), None)
-        assert coeffs.shape[1] == 0
+        exo = gm.ZeroForcing().exosystem()
+        assert exo.generator.shape == exo.output.shape == (0, 0)
+        assert exo.state(1.0).shape == (0,)
 
     def test_fourier_not_polynomial(self):
         spec = gm.FourierForcing(pairs=1, frequency=1.0)
-        assert basis.forcing_polynomial_coefficients(spec, np.ones((1, 2)),
-                                                     np.ones(1)) is None
+        assert not spec.exosystem().is_polynomial
+        assert gm.PolynomialForcing(3).exosystem().is_polynomial
 
     def test_derivative_monomials(self):
+        # du/dt is the exosystem output C S w
         spec = gm.PolynomialForcing(3)
-        dmono = basis.derivative_monomial_matrix(spec)
+        exo = spec.exosystem()
+        dmono = np.array([[1.0, 0.0, 0.0],
+                          [0.0, 2.0, 0.0],
+                          [0.0, 0.0, 3.0]])
         # d/dt (t, t^2, t^3) = (1, 2t, 3t^2)
-        assert np.allclose(dmono, [[1.0, 0.0, 0.0],
-                                   [0.0, 2.0, 0.0],
-                                   [0.0, 0.0, 3.0]])
+        for t in (-2.0, 0.5, 1.75):
+            got = exo.output @ exo.generator @ exo.state(t)
+            assert np.allclose(got, dmono @ t ** np.arange(3))
 
 
 class TestConfigRoundTrip:

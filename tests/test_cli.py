@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -179,6 +180,20 @@ class TestSimulate:
             rows = list(csv.DictReader(fh))
         assert {r["estimator"] for r in rows} == {"grey", "matching"}
 
+    def test_zero_reps_refused(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "A": [[-0.25, 0.70], [0.75, -0.25]],
+            "initial_state": [1.20, 0.35],
+            "snr": 5.0, "replications": 7, "seed": 4,
+        }))
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                  "--reps", "0", "--output", str(out))
+        assert code == cli.EXIT_USAGE
+        assert "need at least one replication" in json.loads(stderr)["message"]
+        assert not (out / "summary.json").exists()
+
 
 class TestVerify:
     def test_translation(self, capsys, water_csv):
@@ -200,6 +215,18 @@ class TestVerify:
         assert code == 0
         assert json.loads(stdout)["passed"]
 
+    @pytest.mark.parametrize("check, extra", [
+        ("translation", ("--value-tolerance", "0")),
+        ("translation", ("--tolerance", "0")),
+        ("proposition1", ("--tolerance", "0")),
+        ("reduction", ("--tolerance", "0")),
+    ])
+    def test_zero_tolerance_is_kept(self, capsys, water_csv, check, extra):
+        code, stdout, _ = run_cli(capsys, "verify", "--check", check,
+                                  "--input", str(water_csv), *extra)
+        assert code == cli.EXIT_TOLERANCE
+        assert not json.loads(stdout)["passed"]
+
 
 class TestReproduce:
     def test_water_reproduces_every_cell(self, capsys):
@@ -211,3 +238,55 @@ class TestReproduce:
                     if "GPM(1,1,2)" in line and "coeff eta" in line]
         assert len(eta_rows) == 1 and "[ok]" in eta_rows[0]
         assert "computed      21.5509" in eta_rows[0]
+
+    def test_zero_tolerance_reports_failing_cells(self, capsys):
+        code, stdout, _ = run_cli(capsys, "reproduce", "--case", "water",
+                                  "--tolerance", "0")
+        assert code == cli.EXIT_TOLERANCE
+        assert "[FAIL]" in stdout
+
+
+class TestPayloadCompatibility:
+    """Configs and fitted models that still carry the retired
+    quadrature_steps_per_unit key load, and forecast as they did."""
+
+    CASES = json.loads((Path(__file__).parent / "data"
+                        / "quadrature_key_payloads.json").read_text())
+    # polynomial responses were exact before; Fourier ones went through
+    # Simpson quadrature, accurate to about 1e-9 at this time scale
+    TOLERANCE = {"grey_quadratic": 1e-12, "matching_linear": 1e-12,
+                 "grey_fourier": 1e-9}
+
+    def forecast(self, capsys, fitted, water_csv):
+        code, stdout, _ = run_cli(capsys, "forecast", "--model", str(fitted),
+                                  "--input", str(water_csv), "--horizon", "2")
+        assert code == cli.EXIT_OK
+        return np.array([float(row.split(",")[1])
+                         for row in stdout.strip().splitlines()[1:]])
+
+    @pytest.mark.parametrize("name", sorted(TOLERANCE))
+    def test_fitted_model_forecasts_as_before(self, capsys, tmp_path, water_csv,
+                                              name):
+        case = self.CASES[name]
+        assert "quadrature_steps_per_unit" in case["fitted"]
+        fitted = tmp_path / "fitted.json"
+        fitted.write_text(json.dumps(case["fitted"]))
+        got = self.forecast(capsys, fitted, water_csv)
+        want = np.array(case["forecast"])
+        assert np.abs(got - want).max() <= self.TOLERANCE[name] * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", sorted(TOLERANCE))
+    def test_config_with_the_key_fits_as_before(self, capsys, tmp_path,
+                                                water_csv, name):
+        case = self.CASES[name]
+        assert "quadrature_steps_per_unit" in case["config"]
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(case["config"]))
+        fitted = tmp_path / "fitted.json"
+        code, _, _ = run_cli(capsys, "fit", "--input", str(water_csv), "--model",
+                             str(config), "--output", str(fitted), "--split", "12")
+        assert code == cli.EXIT_OK
+        assert "quadrature_steps_per_unit" not in json.loads(fitted.read_text())
+        got = self.forecast(capsys, fitted, water_csv)
+        want = np.array(case["forecast"])
+        assert np.abs(got - want).max() <= self.TOLERANCE[name] * np.abs(want).max()

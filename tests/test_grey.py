@@ -222,7 +222,7 @@ class TestTimeResponse:
         with pytest.raises(OverflowGuardError):
             gm.grey_time_response(model, np.array([0.0, 30.0]))
 
-    def test_fourier_forcing_uses_quadrature(self):
+    def test_fourier_forcing_matches_rk4(self):
         spec = gm.FourierForcing(pairs=1, frequency=0.2)
         model = gm.GreyModel(np.array([[-0.3]]), np.array([[0.4, -0.1]]),
                              np.array([0.5]), np.array([1.0]), spec,

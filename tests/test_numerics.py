@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greymatch import numerics
+from greymatch import PolynomialForcing, ZeroForcing, numerics
 from greymatch.errors import SingularDesignError
+from greymatch.grey import linear_response
+from tests.conftest import ode_oracle
 
 
 def normal_equations(design, targets):
@@ -135,12 +137,19 @@ class TestConvolutionIntegral:
         assert err(4) / err(8) >= 8.0
 
 
+def polynomial_response(a, coeffs, eta, t1, times):
+    """Solution of z' = A z + sum_j coeffs[:, j] t^j, z(t1) = eta."""
+    degree = coeffs.shape[1] - 1
+    spec = PolynomialForcing(degree) if degree else ZeroForcing()
+    return linear_response(a, coeffs[:, 1:], coeffs[:, 0], spec, eta, t1, times)
+
+
 class TestPolynomialResponse:
     def test_constant_forcing_zero_matrix(self):
         # z' = c with A = 0 integrates to a straight line
         coeffs = np.array([[2.0]])
-        out = numerics.polynomial_response(np.zeros((1, 1)), coeffs,
-                                           np.array([1.0]), 0.0, np.array([0.0, 1.5]))
+        out = polynomial_response(np.zeros((1, 1)), coeffs,
+                                  np.array([1.0]), 0.0, np.array([0.0, 1.5]))
         assert np.allclose(out[:, 0], [1.0, 4.0], atol=1e-12)
 
     def test_matches_quadrature(self):
@@ -153,9 +162,9 @@ class TestPolynomialResponse:
         def g(t):
             return coeffs[:, 0] + coeffs[:, 1] * t + coeffs[:, 2] * t ** 2
 
-        exact = numerics.polynomial_response(a, coeffs, eta, 0.0, times)
-        quad = numerics.quadrature_response(a, g, eta, 0.0, times, steps_per_unit=80)
-        assert np.abs(exact - quad).max() < 1e-9
+        exact = polynomial_response(a, coeffs, eta, 0.0, times)
+        oracle = ode_oracle(a, g, eta, 0.0, times)
+        assert np.abs(exact - oracle).max() < 1e-9
 
     def test_uniform_and_scattered_paths_agree(self):
         rng = np.random.default_rng(9)
@@ -163,10 +172,10 @@ class TestPolynomialResponse:
         coeffs = rng.normal(size=(2, 2))
         eta = rng.normal(size=2)
         uniform = np.linspace(0.0, 5.0, 21)
-        # same times, but evaluated one by one so the stepping path is off
+        # same times, but evaluated one by one so no step exponential is reused
         single = np.vstack([
-            numerics.polynomial_response(a, coeffs, eta, 0.0, np.array([t]))
+            polynomial_response(a, coeffs, eta, 0.0, np.array([t]))
             for t in uniform
         ])
-        stepped = numerics.polynomial_response(a, coeffs, eta, 0.0, uniform)
+        stepped = polynomial_response(a, coeffs, eta, 0.0, uniform)
         assert np.abs(single - stepped).max() < 1e-11

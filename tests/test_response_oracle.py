@@ -1,0 +1,100 @@
+"""Differential tests of grey.linear_response against an independent
+integrator: scipy's DOP853 at rtol = atol = 1e-12 (tests.conftest.ode_oracle),
+over random stable systems, every forcing kind and both time directions."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import greymatch as gm
+from greymatch.grey import linear_response
+from tests.conftest import make_stable_system, ode_oracle
+
+KINDS = ("zero", "polynomial", "fourier", "exogenous", "mixed")
+
+
+def forcing_function(spec):
+    """t -> u(t), with exogenous samples linearly interpolated."""
+    if isinstance(spec, gm.ExogenousForcing):
+        own, values = spec.series.grid.points, spec.series.values
+        return lambda t: np.array([np.interp(t, own, v) for v in values.T])
+    if isinstance(spec, gm.MixedForcing):
+        parts = [forcing_function(p) for p in spec.parts]
+        return lambda t: np.concatenate([f(t) for f in parts])
+    return lambda t: spec.values(t)[0]
+
+
+def oracle(a, b, c, spec, eta, t1, times):
+    u = forcing_function(spec)
+    knots = spec.series.grid.points if isinstance(spec, gm.ExogenousForcing) else ()
+    return ode_oracle(a, lambda t: b @ u(t) + c, eta, t1, times, knots)
+
+
+def assert_matches_oracle(a, b, c, spec, eta, t1, times):
+    got = linear_response(a, b, c, spec, eta, t1, times)
+    want = oracle(a, b, c, spec, eta, t1, times)
+    assert np.abs(got - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def random_spec(rng, kind, lo, hi):
+    if kind == "zero":
+        return gm.ZeroForcing()
+    if kind == "polynomial":
+        return gm.PolynomialForcing(int(rng.integers(1, 4)))
+    if kind == "exogenous":
+        # samples off the response grid, so knots fall between its times
+        inner = np.sort(rng.uniform(lo, hi, size=int(rng.integers(2, 9))))
+        times = np.unique(np.concatenate([[lo], inner, [hi]]))
+        values = rng.normal(size=(len(times), int(rng.integers(1, 3))))
+        return gm.ExogenousForcing(gm.make_series(times, values))
+    fourier = gm.FourierForcing(int(rng.integers(1, 3)), float(rng.uniform(0.05, 0.5)))
+    if kind == "fourier":
+        return fourier
+    return gm.MixedForcing((fourier, gm.PolynomialForcing(int(rng.integers(1, 3)))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.sampled_from(KINDS),
+       d=st.integers(1, 2), backward=st.booleans(), uniform=st.booleans())
+def test_linear_response_matches_solve_ivp(seed, kind, d, backward, uniform):
+    rng = np.random.default_rng(seed)
+    a = make_stable_system(rng, d)
+    t1 = float(rng.uniform(-1.0, 1.0))
+    n = int(rng.integers(2, 12))
+    steps = np.full(n - 1, rng.uniform(0.1, 0.5)) if uniform \
+        else rng.uniform(0.05, 0.6, size=n - 1)
+    offsets = np.concatenate([[0.0], np.cumsum(steps)])
+    times = t1 - offsets[::-1] if backward else t1 + offsets
+    spec = random_spec(rng, kind, times.min(), times.max())
+    b = rng.normal(size=(d, spec.dimension))
+    c = rng.normal(size=d)
+    eta = rng.normal(size=d)
+    assert_matches_oracle(a, b, c, spec, eta, t1, times)
+
+
+def test_exogenous_quarter_step():
+    # Sample times on a 0.25 step fall inside Simpson pairs of a fixed
+    # 50-steps-per-unit rule, which left errors of 1e-5 and more.
+    t = 1.0 + 0.25 * np.arange(21)
+    u = np.column_stack([np.sqrt(t) + np.sin(3.0 * t), np.cos(t) ** 2])
+    spec = gm.ExogenousForcing(gm.make_series(t, u))
+    a = np.array([[-0.4, 0.3], [-0.2, -0.1]])
+    b = np.array([[1.5, -0.7], [0.4, 2.0]])
+    c = np.array([0.3, -0.2])
+    eta = np.array([1.0, 2.0])
+    assert_matches_oracle(a, b, c, spec, eta, 1.0, t)
+    assert_matches_oracle(a, b, c, spec, eta, 6.0, t)
+
+
+def test_jittered_grid_is_not_uniform():
+    # steps that differ by 1e-10 relative are not equally spaced, so no
+    # single step exponential is reused, and the response stays exact
+    rng = np.random.default_rng(12)
+    steps = 0.25 * (1.0 + 1e-10 * rng.uniform(-1.0, 1.0, size=40))
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    assert not gm.TimeGrid(times).is_uniform()
+    assert gm.TimeGrid(0.25 * np.arange(41)).is_uniform()
+    a = make_stable_system(rng, 2)
+    spec = gm.PolynomialForcing(2)
+    assert_matches_oracle(a, rng.normal(size=(2, 2)), rng.normal(size=2), spec,
+                          rng.normal(size=2), 0.0, times)

@@ -124,8 +124,9 @@ class TestScalarClosedForm:
         t = np.linspace(0.5, 4.0, 9)
         closed = (np.polynomial.polynomial.polyval(t, coeffs)
                   + exp_coeff * np.exp(a * t))
-        numeric = gm.polynomial_response(
-            np.array([[a]]), np.array([poly_g]), np.array([eta]), 0.5, t)[:, 0]
+        numeric = gm.grey.linear_response(
+            np.array([[a]]), np.array([poly_g[1:]]), np.array(poly_g[:1]),
+            gm.PolynomialForcing(2), np.array([eta]), 0.5, t)[:, 0]
         assert np.abs(closed - numeric).max() < 1e-10
 
     def test_zero_decay_rejected(self):
