@@ -20,16 +20,16 @@ from .errors import (AlignmentError, CsvFormatError, DataError,
                      GreymatchError, InsufficientDataError, NumericalError,
                      OverflowGuardError, SingularDesignError, StrategyError,
                      UnsupportedForcingError, ZeroValueError)
-from .grey import (GreyFitConfig, GreyModel, build_grey_regression, fit_grey,
-                   grey_forecast, grey_time_response, select_initial_value)
-from .matching import (MatchingModel, build_matching_regression, fit_matching,
-                       matching_forecast, matching_time_response)
+from .grey import (FittedModel, build_grey_regression, fit_grey, grey_forecast,
+                   model_from_dict, model_to_dict, predict_on_grid,
+                   select_initial_value, time_response)
+from .matching import build_matching_regression, fit_matching, matching_forecast
 from .numerics import (LeastSquaresSolution, convolution_integral,
                        exosystem_response, matrix_exponential,
                        solve_least_squares)
 from .series import (ErrorReport, TimeGrid, VectorSeries, cusum,
-                     integrate_piecewise_constant, integrate_piecewise_linear,
-                     inverse_cusum, make_series, mape, read_csv, write_csv)
+                     integrate_piecewise_linear, inverse_cusum, make_series,
+                     mape, read_csv, write_csv)
 from .simulate import (ReplicationSummary, SimulationScenario,
                        generate_trajectory, run_monte_carlo)
 from .theory import (EquivalenceReport, check_proposition_equal_spacing,

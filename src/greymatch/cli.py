@@ -38,7 +38,10 @@ def _fail(code, kind, message):
 
 def _load_json(path):
     with open(path) as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object at the top level")
+    return payload
 
 
 def _given(value, default):
@@ -60,12 +63,6 @@ def _split_index(args, n):
     return split
 
 
-def _predict(model, grid):
-    if isinstance(model, _grey.GreyModel):
-        return _grey.predict_on_grid(model, grid)
-    return _matching.predict_on_grid(model, grid)
-
-
 def cmd_fit(args):
     config = _load_json(args.model)
     data = _series.read_csv(args.input)
@@ -74,18 +71,17 @@ def cmd_fit(args):
     spec = _basis.spec_from_config(config.get("forcing", {"kind": "zero"}))
     kind = config.get("model", "matching")
     if kind == "grey":
-        fit_config = _grey.GreyFitConfig(background_lambda=config.get("lambda", 0.5))
-        model = _grey.fit_grey(train, spec, fit_config,
-                               strategy=config.get("strategy", "fixed_first"))
-        payload = _grey.model_to_dict(model)
+        model = _grey.fit_grey(train, spec,
+                               strategy=config.get("strategy", "fixed_first"),
+                               background_lambda=config.get("lambda", 0.5))
     elif kind == "matching":
         model = _matching.fit_matching(train, spec,
                                        include_constant=config.get("include_constant", True))
-        payload = _matching.model_to_dict(model)
     else:
         raise ValueError(f"unknown model kind {config.get('model')!r}")
 
-    predictions = _predict(model, data.grid)
+    payload = _grey.model_to_dict(model)
+    predictions = _grey.predict_on_grid(model, data.grid)
     report = _series.mape(data, predictions, split)
     summary = {
         "model_file": args.output,
@@ -104,24 +100,15 @@ def cmd_fit(args):
     return EXIT_OK
 
 
-def _load_model(path):
-    payload = _load_json(path)
-    if payload.get("model") == "grey":
-        return _grey.model_from_dict(payload)
-    if payload.get("model") == "matching":
-        return _matching.model_from_dict(payload)
-    raise ValueError(f"model file {path} has unknown kind {payload.get('model')!r}")
-
-
 def cmd_forecast(args):
-    model = _load_model(args.model)
+    model = _grey.model_from_dict(_load_json(args.model))
     data = _series.read_csv(args.input)
     if data.d != model.d:
         raise DataError(
             f"model has {model.d} components but data has {data.d}"
         )
     grid = data.grid.extended(args.horizon)
-    predictions = _predict(model, grid)
+    predictions = _grey.predict_on_grid(model, grid)
     names = [f"x{i + 1}_hat" for i in range(predictions.d)]
     if args.output:
         _series.write_csv(args.output, predictions, names)

@@ -1,53 +1,52 @@
 """The grey pipeline: cusum the raw series, fit the structural parameters of
 dy/dt = A y + B u(t) + c by a weighted-trapezoid regression, choose an
 initial value, evaluate the time response and restore to the original scale.
+
+The fitted-model record, its time response, its predictions and its JSON
+form live here too and serve both pipelines: integral matching fits the
+same family on the raw scale.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import basis as _basis
 from . import numerics as _numerics
 from . import series as _series
-from .errors import InsufficientDataError, OverflowGuardError, StrategyError
+from .errors import (DataError, InsufficientDataError, OverflowGuardError,
+                     StrategyError)
 
 INITIAL_STRATEGIES = ("fixed_first", "fixed_last", "least_squares",
                       "reduced_consistent", "reduced_half_step")
+PIPELINES = ("grey", "matching")
 
 # Spectral-norm * time-span budget beyond which exp(A t) is refused.
 RESPONSE_NORM_BUDGET = 50.0
 
 
 @dataclass(frozen=True)
-class GreyFitConfig:
-    """Hyperparameters of the grey fit.
+class FittedModel:
+    """Fitted dz/dt = A z + B u(t) + c, z(t1) = eta, from either pipeline.
 
-    background_lambda weights the earlier point of each interval in the
-    background-value blend; 0.5 is the trapezoid rule used throughout the
-    literature.
+    pipeline "grey" fits the cusum scale, so its predictions are restored
+    by the inverse cusum; "matching" fits the raw scale.  c is None for a
+    model without a constant term.  strategy (the initial-value rule) and
+    background_lambda (the weight of the earlier point of each interval in
+    the background-value blend) record how a grey fit was made; they are
+    None on matching fits.
     """
-
-    background_lambda: float = 0.5
-
-    def __post_init__(self):
-        if not 0.0 <= self.background_lambda <= 1.0:
-            raise ValueError("background_lambda must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
-class GreyModel:
-    """Fitted cusum-side model dy/dt = A y + B u + c with initial value eta."""
 
     A: np.ndarray
     B: np.ndarray
     c: np.ndarray
     eta: np.ndarray
     spec: object
-    strategy: str
-    config: GreyFitConfig = field(default_factory=GreyFitConfig)
+    t1: float
+    pipeline: str
     residual_norm: float = 0.0
-    t1: float = 0.0
+    strategy: str = None
+    background_lambda: float = None
 
     @property
     def d(self):
@@ -81,14 +80,20 @@ def build_grey_regression(y, forcing, background_lambda=0.5):
     return design, targets
 
 
-def fit_grey(raw, spec, config=None, strategy="fixed_first"):
-    """Fit the grey model to a raw series (the cusum happens internally)."""
+def fit_grey(raw, spec, strategy="fixed_first", background_lambda=0.5):
+    """Fit the grey model to a raw series (the cusum happens internally).
+
+    background_lambda weights the earlier point of each interval in the
+    background-value blend; 0.5 is the trapezoid rule used throughout the
+    literature.
+    """
     if strategy not in INITIAL_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {INITIAL_STRATEGIES}")
-    config = config or GreyFitConfig()
+    if not 0.0 <= background_lambda <= 1.0:
+        raise ValueError("background_lambda must lie in [0, 1]")
     y = _series.cusum(raw)
     sample = _basis.evaluate_forcing(spec, y.grid)
-    design, targets = build_grey_regression(y, sample, config.background_lambda)
+    design, targets = build_grey_regression(y, sample, background_lambda)
     solution = _numerics.solve_least_squares(design, targets)
     d = raw.d
     p = spec.dimension
@@ -97,8 +102,8 @@ def fit_grey(raw, spec, config=None, strategy="fixed_first"):
     B = stacked[d:d + p].T if p else np.zeros((d, 0))
     c = stacked[d + p]
     eta = select_initial_value(y, A, B, c, spec, strategy)
-    return GreyModel(A, B, c, eta, spec, strategy, config, solution.residual_norm,
-                     t1=float(y.grid.points[0]))
+    return FittedModel(A, B, c, eta, spec, float(y.grid.points[0]), "grey",
+                       solution.residual_norm, strategy, background_lambda)
 
 
 def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
@@ -186,15 +191,27 @@ def select_initial_value(y, A, B, c, spec, strategy):
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def grey_time_response(model, times):
-    """Cusum-scale response of a fitted grey model at the given times."""
+def time_response(model, times):
+    """The fitted model's own-scale response at the given times: the cusum
+    scale for a grey fit, the raw scale for a matching fit."""
     values = linear_response(model.A, model.B, model.c, model.spec, model.eta,
                              model.t1, np.asarray(times, dtype=float))
     return _series.make_series(times, values)
 
 
-def grey_forecast(raw, spec, config=None, strategy="fixed_first", horizon=0,
-                  model=None):
+# bench/workloads.py calls the response by this name.
+grey_time_response = time_response
+
+
+def predict_on_grid(model, grid):
+    """Original-scale predictions of a fitted model on an arbitrary grid."""
+    response = time_response(model, grid.points)
+    if model.pipeline == "grey":
+        return _series.inverse_cusum(_series.VectorSeries(grid, response.values))
+    return response
+
+
+def grey_forecast(raw, spec, strategy="fixed_first", horizon=0, model=None):
     """Full pipeline: cusum, fit, respond over the extended grid, restore.
 
     Returns the fitted-plus-forecast series on the original scale, length
@@ -203,45 +220,77 @@ def grey_forecast(raw, spec, config=None, strategy="fixed_first", horizon=0,
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
     if model is None:
-        model = fit_grey(raw, spec, config, strategy)
-    grid = raw.grid.extended(horizon)
-    yhat = grey_time_response(model, grid.points)
-    return _series.inverse_cusum(_series.VectorSeries(grid, yhat.values))
-
-
-def predict_on_grid(model, grid):
-    """Original-scale predictions of a grey model on an arbitrary grid."""
-    yhat = grey_time_response(model, grid.points)
-    return _series.inverse_cusum(_series.VectorSeries(grid, yhat.values))
+        model = fit_grey(raw, spec, strategy)
+    return predict_on_grid(model, raw.grid.extended(horizon))
 
 
 def model_to_dict(model):
     """JSON-ready dictionary; floats survive the round trip losslessly."""
-    return {
-        "model": "grey",
+    payload = {
+        "model": model.pipeline,
         "d": model.d,
         "forcing": _basis.spec_to_config(model.spec),
         "A": model.A.tolist(),
         "B": model.B.tolist(),
-        "c": model.c.tolist(),
-        "eta": model.eta.tolist(),
-        "strategy": model.strategy,
-        "lambda": model.config.background_lambda,
-        "t1": model.t1,
-        "residual_norm": model.residual_norm,
     }
+    if model.c is not None:
+        payload["c"] = model.c.tolist()
+    payload["eta"] = model.eta.tolist()
+    if model.pipeline == "grey":
+        payload["strategy"] = model.strategy
+        payload["lambda"] = model.background_lambda
+    payload["t1"] = model.t1
+    payload["residual_norm"] = model.residual_norm
+    return payload
+
+
+def _checked_array(key, value, shape=None):
+    """A model-file field as a float array of the given shape (any shape
+    when None) with finite entries; DataError names the field otherwise."""
+    try:
+        array = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"model field {key!r} is not numeric") from exc
+    if shape is not None and array.shape != shape:
+        raise DataError(f"model field {key!r} has shape {array.shape}; "
+                        f"expected {shape}")
+    if not np.isfinite(array).all():
+        raise DataError(f"model field {key!r} holds a non-finite value")
+    return array
 
 
 def model_from_dict(payload):
-    config = GreyFitConfig(background_lambda=payload.get("lambda", 0.5))
-    return GreyModel(
-        A=np.array(payload["A"], dtype=float),
-        B=np.array(payload["B"], dtype=float).reshape(len(payload["A"]), -1),
-        c=np.array(payload["c"], dtype=float),
-        eta=np.array(payload["eta"], dtype=float),
-        spec=_basis.spec_from_config(payload["forcing"]),
-        strategy=payload["strategy"],
-        config=config,
-        residual_norm=payload.get("residual_norm", 0.0),
-        t1=payload.get("t1", 0.0),
+    """Inverse of model_to_dict for either pipeline.
+
+    Raises DataError, naming the field, unless A is a square d x d matrix,
+    B is d x (forcing dimension), eta and c have length d, c is present for
+    a grey model, and every value is finite.  Payloads that still carry the
+    retired quadrature_steps_per_unit key load; the key is ignored.
+    """
+    pipeline = payload.get("model")
+    if pipeline not in PIPELINES:
+        raise ValueError(f"model file has unknown kind {pipeline!r}")
+    spec = _basis.spec_from_config(payload["forcing"])
+    A = _checked_array("A", payload["A"])
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
+        raise DataError(f"model field 'A' has shape {A.shape}; expected a "
+                        "nonempty square matrix")
+    d = A.shape[0]
+    grey = pipeline == "grey"
+    if grey and "c" not in payload:
+        raise DataError("model field 'c' is missing; a grey model carries "
+                        "a constant")
+    return FittedModel(
+        A=A,
+        B=_checked_array("B", payload["B"], (d, spec.dimension)),
+        c=_checked_array("c", payload["c"], (d,)) if "c" in payload else None,
+        eta=_checked_array("eta", payload["eta"], (d,)),
+        spec=spec,
+        t1=float(_checked_array("t1", payload.get("t1", 0.0), ())),
+        pipeline=pipeline,
+        residual_norm=float(_checked_array(
+            "residual_norm", payload.get("residual_norm", 0.0), ())),
+        strategy=payload["strategy"] if grey else None,
+        background_lambda=float(_checked_array(
+            "lambda", payload.get("lambda", 0.5), ())) if grey else None,
     )

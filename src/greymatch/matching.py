@@ -9,33 +9,16 @@ antiderivative is t itself.  The remaining intercept column estimates
 x(t_1).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import basis as _basis
 from . import numerics as _numerics
 from . import series as _series
 from .errors import InsufficientDataError
-from .grey import linear_response
+from .grey import FittedModel, predict_on_grid, time_response
 
-
-@dataclass(frozen=True)
-class MatchingModel:
-    """Fitted reduced model dx/dt = A x + B u + c, x(t1) = eta."""
-
-    A: np.ndarray
-    B: np.ndarray
-    c: np.ndarray  # None when the model carries no constant term
-    eta: np.ndarray
-    spec: object
-    include_constant: bool
-    residual_norm: float = 0.0
-    t1: float = 0.0
-
-    @property
-    def d(self):
-        return self.A.shape[0]
+# bench/workloads.py calls the response by this name.
+matching_time_response = time_response
 
 
 def build_matching_regression(raw, forcing, include_constant=True):
@@ -83,15 +66,8 @@ def fit_matching(raw, spec, include_constant=True):
     c = stacked[row] if include_constant else None
     row += 1 if include_constant else 0
     eta = stacked[row]
-    return MatchingModel(A, B, c, eta, spec, include_constant,
-                         solution.residual_norm, t1=float(raw.grid.points[0]))
-
-
-def matching_time_response(model, times):
-    """Evaluate the fitted reduced model at the given times."""
-    values = linear_response(model.A, model.B, model.c, model.spec, model.eta,
-                             model.t1, np.asarray(times, dtype=float))
-    return _series.make_series(times, values)
+    return FittedModel(A, B, c, eta, spec, float(raw.grid.points[0]), "matching",
+                       solution.residual_norm)
 
 
 def matching_forecast(raw, spec, horizon=0, include_constant=True, model=None):
@@ -103,41 +79,4 @@ def matching_forecast(raw, spec, horizon=0, include_constant=True, model=None):
         raise ValueError("horizon must be >= 0")
     if model is None:
         model = fit_matching(raw, spec, include_constant)
-    grid = raw.grid.extended(horizon)
-    return matching_time_response(model, grid.points)
-
-
-def predict_on_grid(model, grid):
-    """Predictions of a matching model on an arbitrary grid."""
-    return matching_time_response(model, grid.points)
-
-
-def model_to_dict(model):
-    payload = {
-        "model": "matching",
-        "d": model.d,
-        "forcing": _basis.spec_to_config(model.spec),
-        "A": model.A.tolist(),
-        "B": model.B.tolist(),
-        "eta": model.eta.tolist(),
-        "t1": model.t1,
-        "residual_norm": model.residual_norm,
-    }
-    if model.include_constant:
-        payload["c"] = model.c.tolist()
-    return payload
-
-
-def model_from_dict(payload):
-    include_constant = "c" in payload
-    d = len(payload["A"])
-    return MatchingModel(
-        A=np.array(payload["A"], dtype=float),
-        B=np.array(payload["B"], dtype=float).reshape(d, -1),
-        c=np.array(payload["c"], dtype=float) if include_constant else None,
-        eta=np.array(payload["eta"], dtype=float),
-        spec=_basis.spec_from_config(payload["forcing"]),
-        include_constant=include_constant,
-        residual_norm=payload.get("residual_norm", 0.0),
-        t1=payload.get("t1", 0.0),
-    )
+    return predict_on_grid(model, raw.grid.extended(horizon))

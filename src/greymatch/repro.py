@@ -200,13 +200,9 @@ def fit_water_model(name):
     pipeline, spec, options = water_model_definition(name)
     train = water_series()
     horizon = len(WATER_FORECAST_YEARS) - WATER_SPLIT
-    if pipeline == "matching":
-        model = _matching.fit_matching(train, spec, **options)
-        predictions = _matching.matching_forecast(train, spec, horizon, model=model)
-    else:
-        model = _grey.fit_grey(train, spec, strategy=options["strategy"])
-        predictions = _grey.grey_forecast(train, spec, horizon=horizon, model=model)
-    return model, predictions
+    fit = _matching.fit_matching if pipeline == "matching" else _grey.fit_grey
+    model = fit(train, spec, **options)
+    return model, _grey.predict_on_grid(model, train.grid.extended(horizon))
 
 
 @dataclass(frozen=True)
@@ -245,7 +241,7 @@ def _water_coefficient_rows(name, model):
     b = model.B[0] if model.B.size else ()
     for j, value in enumerate(b, start=1):
         mapping[f"b{j}"] = value
-    if getattr(model, "c", None) is not None:
+    if model.c is not None:
         mapping["c"] = model.c[0]
     for key, ref in refs.items():
         rows.append(_row(name, f"coeff {key}", mapping[key], ref, tol))

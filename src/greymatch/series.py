@@ -115,22 +115,6 @@ def inverse_cusum(series):
     return VectorSeries(series.grid, x)
 
 
-def integrate_piecewise_constant(series):
-    """First-order (right-endpoint) discretization of x(t_1) + int x ds.
-
-    Coincides with cusum on every input because the first interval weight
-    is 1; kept as an independent implementation so that equivalence stays
-    a testable fact rather than an aliasing accident.
-    """
-    x = series.values
-    h = series.grid.intervals
-    y = np.empty_like(x)
-    y[0] = x[0]
-    for k in range(1, len(x)):
-        y[k] = y[k - 1] + h[k] * x[k]
-    return VectorSeries(series.grid, y)
-
-
 def integrate_piecewise_linear(series):
     """Second-order (trapezoid) discretization of x(t_1) + int x ds."""
     x = series.values

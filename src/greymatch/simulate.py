@@ -96,22 +96,23 @@ def noise_sigmas(scenario, clean_in_values):
     return scenario.noise_scale * spread / scenario.snr ** scenario.noise_exponent
 
 
-def _replication_rng(scenario, replication):
+def _noisy_series(scenario, clean, sigma, replication):
+    """Replication `replication`'s noisy in-sample series: the clean
+    in-sample values plus Gaussian noise of per-component standard deviation
+    sigma, drawn from the replication's own counter-based stream."""
+    n = scenario.n
     seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(replication,))
-    return np.random.Generator(np.random.Philox(seq))
+    rng = np.random.Generator(np.random.Philox(seq))
+    values = clean.values[:n] + sigma * rng.standard_normal((n, scenario.d))
+    return _series.VectorSeries(_series.TimeGrid(clean.grid.points[:n]), values)
 
 
 def generate_trajectory(scenario, replication=0):
     """One realization: the clean series over the full span (in-sample plus
     horizon) and the noisy in-sample series."""
     clean = _clean_trajectory(scenario)
-    n = scenario.n
-    clean_in = clean.values[:n]
-    sigma = noise_sigmas(scenario, clean_in)
-    rng = _replication_rng(scenario, replication)
-    noisy_values = clean_in + sigma * rng.standard_normal((n, scenario.d))
-    noisy = _series.VectorSeries(_series.TimeGrid(clean.grid.points[:n]), noisy_values)
-    return clean, noisy
+    sigma = noise_sigmas(scenario, clean.values[:scenario.n])
+    return clean, _noisy_series(scenario, clean, sigma, replication)
 
 
 @dataclass(frozen=True)
@@ -147,8 +148,6 @@ def run_monte_carlo(scenario, horizons=(2, 5, 10)):
     clean = _clean_trajectory(scenario)
     clean_in = clean.values[:n]
     sigma = noise_sigmas(scenario, clean_in)
-    grid_full = clean.grid
-    grey_config = _grey.GreyFitConfig(background_lambda=0.5)
 
     metrics = {key: [] for key in
                ["grey_A", "matching_A", "grey_eta", "matching_eta",
@@ -158,17 +157,14 @@ def run_monte_carlo(scenario, horizons=(2, 5, 10)):
     failures = 0
     max_gap = 0.0
     for rep in range(scenario.replications):
-        rng = _replication_rng(scenario, rep)
-        noisy_values = clean_in + sigma * rng.standard_normal((n, scenario.d))
-        noisy = _series.VectorSeries(_series.TimeGrid(grid_full.points[:n]),
-                                     noisy_values)
+        noisy = _noisy_series(scenario, clean, sigma, rep)
         try:
-            gmodel = _grey.fit_grey(noisy, scenario.forcing, grey_config,
+            gmodel = _grey.fit_grey(noisy, scenario.forcing,
                                     strategy="reduced_consistent")
             mmodel = _matching.fit_matching(noisy, scenario.forcing,
                                             scenario.include_constant)
-            grey_pred = _grey.predict_on_grid(gmodel, grid_full).values
-            match_pred = _matching.predict_on_grid(mmodel, grid_full).values
+            preds = [_grey.predict_on_grid(model, clean.grid).values
+                     for model in (gmodel, mmodel)]
         except GreymatchError:
             failures += 1
             continue
@@ -177,7 +173,7 @@ def run_monte_carlo(scenario, horizons=(2, 5, 10)):
         metrics["matching_A"].append(mmodel.A.reshape(-1))
         metrics["grey_eta"].append(gmodel.eta)
         metrics["matching_eta"].append(mmodel.eta)
-        for name, pred in (("grey", grey_pred), ("matching", match_pred)):
+        for name, pred in zip(("grey", "matching"), preds):
             fit_ape = np.abs((pred[:n] - clean_in) / clean_in) * 100.0
             metrics[f"{name}_fit"].append(fit_ape.mean(axis=0))
             for k in horizons:

@@ -50,8 +50,8 @@ def recover_constant(A, B, x1, xi, spec, t1=0.0):
     return c
 
 
-def check_translation_invariance(raw, spec, config=None, strategy="fixed_first",
-                                 shift=None, tol_params=1e-9, tol_values=1e-8):
+def check_translation_invariance(raw, spec, strategy="fixed_first", shift=None,
+                                 tol_params=1e-9, tol_values=1e-8):
     """Adding `shift` to the first raw observation translates the cusum
     series; the fitted A and B must not move, c must move by -A*shift, and
     the restored values from the second point on must be unchanged.
@@ -62,16 +62,15 @@ def check_translation_invariance(raw, spec, config=None, strategy="fixed_first",
     initial value through (I - A)^{-1}, so it moves by -(I - A)^{-1} A shift
     rather than by the shift, and only their structural invariances hold.
     """
-    config = config or _grey.GreyFitConfig()
     shift = np.zeros(raw.d) if shift is None else np.asarray(shift, dtype=float)
     shifted_values = raw.values.copy()
     shifted_values[0] += shift
     shifted = _series.VectorSeries(raw.grid, shifted_values)
 
-    base = _grey.fit_grey(raw, spec, config, strategy)
-    moved = _grey.fit_grey(shifted, spec, config, strategy)
-    restored_base = _grey.grey_forecast(raw, spec, config, strategy, model=base)
-    restored_moved = _grey.grey_forecast(shifted, spec, config, strategy, model=moved)
+    base = _grey.fit_grey(raw, spec, strategy)
+    moved = _grey.fit_grey(shifted, spec, strategy)
+    restored_base = _grey.predict_on_grid(base, raw.grid)
+    restored_moved = _grey.predict_on_grid(moved, raw.grid)
 
     details = {
         "A": float(np.abs(moved.A - base.A).max()),

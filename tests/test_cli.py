@@ -102,6 +102,16 @@ class TestFit:
                                   "--split", "12", "--train-fraction", "0.8")
         assert code == cli.EXIT_USAGE
 
+    def test_background_lambda_outside_unit_interval(self, capsys, tmp_path,
+                                                     water_csv):
+        config = tmp_path / "grey.json"
+        config.write_text(json.dumps({"model": "grey", "forcing": {"kind": "zero"},
+                                      "lambda": 1.5}))
+        code, _, stderr = run_cli(capsys, "fit", "--input", str(water_csv),
+                                  "--model", str(config))
+        assert code == cli.EXIT_USAGE
+        assert "background_lambda" in json.loads(stderr)["message"]
+
 
 class TestForecast:
     def test_round_trip_fit_then_forecast_is_bit_identical(
@@ -115,9 +125,8 @@ class TestForecast:
                              "--output", str(out))
         assert code == 0
         got = gm.read_csv(out)
-        from greymatch import matching
-        model = matching.model_from_dict(json.loads(fitted.read_text()))
-        direct = matching.predict_on_grid(model, gm.read_csv(water_csv).grid)
+        model = gm.model_from_dict(json.loads(fitted.read_text()))
+        direct = gm.predict_on_grid(model, gm.read_csv(water_csv).grid)
         assert np.array_equal(got.values, direct.values)
 
     def test_forecast_horizon_extends_grid(self, capsys, tmp_path, water_csv,
@@ -142,6 +151,51 @@ class TestForecast:
         code, _, stderr = run_cli(capsys, "forecast", "--model", str(fitted),
                                   "--input", str(water_csv))
         assert code == cli.EXIT_DATA
+
+    VALID = {
+        "matching": {"model": "matching", "d": 1, "forcing": {"kind": "zero"},
+                     "A": [[0.1]], "B": [[]], "eta": [1.0], "t1": 1.0},
+        "grey": {"model": "grey", "d": 1,
+                 "forcing": {"kind": "polynomial", "degree": 1},
+                 "A": [[0.1]], "B": [[0.2]], "c": [0.3], "eta": [1.0],
+                 "strategy": "fixed_first", "lambda": 0.5, "t1": 1.0},
+    }
+
+    @pytest.mark.parametrize("pipeline, change, field", [
+        ("matching", {"eta": [1.0, 2.0]}, "eta"),
+        ("matching", {"A": [[0.1, 0.2]]}, "A"),
+        ("matching", {"A": [[float("nan")]]}, "A"),
+        ("matching", {"c": None}, "c"),
+        ("matching", {"c": [0.1, 0.2]}, "c"),
+        ("matching", {"B": [[0.5]]}, "B"),
+        ("matching", {"t1": float("inf")}, "t1"),
+        ("grey", {"B": [[]]}, "B"),
+        ("grey", {"c": None}, "c"),
+        ("grey", {"c": [float("nan")]}, "c"),
+        ("grey", {"eta": "one"}, "eta"),
+    ])
+    def test_invalid_model_file_is_a_data_error(self, capsys, tmp_path, water_csv,
+                                                pipeline, change, field):
+        fitted = tmp_path / "fitted.json"
+        fitted.write_text(json.dumps({**self.VALID[pipeline], **change}))
+        code, stdout, stderr = run_cli(capsys, "forecast", "--model", str(fitted),
+                                       "--input", str(water_csv))
+        assert code == cli.EXIT_DATA
+        assert stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "DataError"
+        assert f"'{field}'" in err["message"]
+
+    def test_grey_model_file_without_constant_is_a_data_error(
+            self, capsys, tmp_path, water_csv):
+        fitted = tmp_path / "fitted.json"
+        payload = dict(self.VALID["grey"])
+        del payload["c"]
+        fitted.write_text(json.dumps(payload))
+        code, _, stderr = run_cli(capsys, "forecast", "--model", str(fitted),
+                                  "--input", str(water_csv))
+        assert code == cli.EXIT_DATA
+        assert "'c'" in json.loads(stderr)["message"]
 
     def test_overflow_guard_is_a_numerical_error(self, capsys, tmp_path):
         fitted = tmp_path / "explosive.json"
@@ -226,6 +280,24 @@ class TestVerify:
                                   "--input", str(water_csv), *extra)
         assert code == cli.EXIT_TOLERANCE
         assert not json.loads(stdout)["passed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("fit", "--input", "{csv}", "--model", "{json}"),
+    ("forecast", "--input", "{csv}", "--model", "{json}"),
+    ("simulate", "--scenario", "{json}", "--output", "{out}"),
+    ("verify", "--check", "translation", "--input", "{csv}", "--model", "{json}"),
+])
+def test_non_object_json_is_a_usage_error(capsys, tmp_path, water_csv, argv):
+    array = tmp_path / "array.json"
+    array.write_text("[1]")
+    paths = {"csv": water_csv, "json": array, "out": tmp_path / "out"}
+    code, stdout, stderr = run_cli(capsys, *[a.format(**paths) for a in argv])
+    assert code == cli.EXIT_USAGE
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ValueError"
+    assert "JSON object" in err["message"]
 
 
 class TestReproduce:

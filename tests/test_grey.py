@@ -116,7 +116,7 @@ class TestInitialStrategies:
         spec = gm.PolynomialForcing(2)
         model = gm.fit_grey(water_train, spec, strategy="fixed_last")
         y = gm.cusum(water_train)
-        response = gm.grey_time_response(model, y.grid.points)
+        response = gm.time_response(model, y.grid.points)
         assert abs(response.values[-1, 0] - y.values[-1, 0]) < 1e-8
 
     def test_reduced_consistent_formula(self, water_train):
@@ -185,7 +185,7 @@ class TestInitialStrategies:
 
         def objective(strategy):
             model = gm.fit_grey(water_train, spec, strategy=strategy)
-            response = gm.grey_time_response(model, y.grid.points)
+            response = gm.time_response(model, y.grid.points)
             return np.sum((response.values - y.values) ** 2)
 
         best = objective("least_squares")
@@ -195,10 +195,10 @@ class TestInitialStrategies:
 
 class TestTimeResponse:
     def test_constant_when_everything_zero(self):
-        model = gm.GreyModel(np.zeros((2, 2)), np.zeros((2, 0)), np.zeros(2),
-                             np.array([1.5, -0.5]), gm.ZeroForcing(),
-                             "fixed_first", t1=0.0)
-        out = gm.grey_time_response(model, np.array([0.0, 2.0, 7.0]))
+        model = gm.FittedModel(np.zeros((2, 2)), np.zeros((2, 0)), np.zeros(2),
+                               np.array([1.5, -0.5]), gm.ZeroForcing(),
+                               t1=0.0, pipeline="grey")
+        out = gm.time_response(model, np.array([0.0, 2.0, 7.0]))
         assert np.allclose(out.values, [[1.5, -0.5]] * 3)
 
     def test_quadratic_forcing_closed_form(self):
@@ -209,26 +209,26 @@ class TestTimeResponse:
         tail = c / a + b1 / a ** 2 + 2 * b2 / a ** 3
         exact = ((xi + tail) * np.exp(a * t)
                  - (b2 / a) * t ** 2 - (b1 / a + 2 * b2 / a ** 2) * t - tail)
-        model = gm.GreyModel(np.array([[a]]), np.array([[b1, b2]]),
-                             np.array([c]), np.array([xi]),
-                             gm.PolynomialForcing(2), "fixed_first", t1=0.0)
-        got = gm.grey_time_response(model, t).values[:, 0]
+        model = gm.FittedModel(np.array([[a]]), np.array([[b1, b2]]),
+                               np.array([c]), np.array([xi]),
+                               gm.PolynomialForcing(2), t1=0.0, pipeline="grey")
+        got = gm.time_response(model, t).values[:, 0]
         assert np.abs(got - exact).max() < 1e-8
 
     def test_overflow_guard(self):
-        model = gm.GreyModel(np.array([[2.0]]), np.zeros((1, 0)), np.zeros(1),
-                             np.array([1.0]), gm.ZeroForcing(), "fixed_first",
-                             t1=0.0)
+        model = gm.FittedModel(np.array([[2.0]]), np.zeros((1, 0)), np.zeros(1),
+                               np.array([1.0]), gm.ZeroForcing(), t1=0.0,
+                               pipeline="grey")
         with pytest.raises(OverflowGuardError):
-            gm.grey_time_response(model, np.array([0.0, 30.0]))
+            gm.time_response(model, np.array([0.0, 30.0]))
 
     def test_fourier_forcing_matches_rk4(self):
         spec = gm.FourierForcing(pairs=1, frequency=0.2)
-        model = gm.GreyModel(np.array([[-0.3]]), np.array([[0.4, -0.1]]),
-                             np.array([0.5]), np.array([1.0]), spec,
-                             "fixed_first", t1=0.0)
+        model = gm.FittedModel(np.array([[-0.3]]), np.array([[0.4, -0.1]]),
+                               np.array([0.5]), np.array([1.0]), spec, t1=0.0,
+                               pipeline="grey")
         t = np.array([0.0, 1.0, 2.5])
-        got = gm.grey_time_response(model, t).values[:, 0]
+        got = gm.time_response(model, t).values[:, 0]
         # independent check: dense classical RK4 integration
         def rhs(s, z):
             u = spec.values(np.array([s]))[0]
@@ -281,14 +281,16 @@ class TestSerialization:
         for strategy in ("least_squares", "reduced_half_step"):
             model = gm.fit_grey(water_train, gm.PolynomialForcing(2),
                                 strategy=strategy)
-            payload = json.loads(json.dumps(grey.model_to_dict(model)))
-            back = grey.model_from_dict(payload)
+            payload = json.loads(json.dumps(gm.model_to_dict(model)))
+            back = gm.model_from_dict(payload)
             assert np.array_equal(back.A, model.A)
             assert np.array_equal(back.B, model.B)
             assert np.array_equal(back.c, model.c)
             assert np.array_equal(back.eta, model.eta)
             assert back.strategy == strategy
             assert back.spec == model.spec
+            assert back.pipeline == "grey"
+            assert back.background_lambda == 0.5
 
 
 class TestTranslationInvariance:

@@ -78,10 +78,10 @@ class TestWaterCoefficients:
 
 class TestTimeResponse:
     def test_constant_when_zero_matrix(self):
-        model = matching.MatchingModel(np.zeros((1, 1)), np.zeros((1, 0)), None,
-                                       np.array([4.0]), gm.ZeroForcing(),
-                                       include_constant=False, t1=0.0)
-        out = matching.matching_time_response(model, np.array([0.0, 3.0]))
+        model = gm.FittedModel(np.zeros((1, 1)), np.zeros((1, 0)), None,
+                               np.array([4.0]), gm.ZeroForcing(), t1=0.0,
+                               pipeline="matching")
+        out = gm.time_response(model, np.array([0.0, 3.0]))
         assert np.allclose(out.values[:, 0], [4.0, 4.0])
 
     def test_degree_one_closed_form_coefficients(self, water_train):
@@ -157,19 +157,20 @@ class TestStructuralCorrespondence:
 class TestSerialization:
     def test_round_trip_with_constant(self, water_train):
         model = gm.fit_matching(water_train, gm.PolynomialForcing(1))
-        payload = json.loads(json.dumps(matching.model_to_dict(model)))
-        back = matching.model_from_dict(payload)
+        payload = json.loads(json.dumps(gm.model_to_dict(model)))
+        back = gm.model_from_dict(payload)
         assert np.array_equal(back.A, model.A)
         assert np.array_equal(back.B, model.B)
         assert np.array_equal(back.c, model.c)
         assert np.array_equal(back.eta, model.eta)
-        assert back.include_constant
+        assert back.pipeline == "matching"
+        assert back.strategy is None and back.background_lambda is None
 
     def test_round_trip_without_constant(self, water_train):
         model = gm.fit_matching(water_train, gm.ZeroForcing(),
                                 include_constant=False)
-        back = matching.model_from_dict(
-            json.loads(json.dumps(matching.model_to_dict(model))))
+        payload = json.loads(json.dumps(gm.model_to_dict(model)))
+        assert "c" not in payload
+        back = gm.model_from_dict(payload)
         assert back.c is None
-        assert not back.include_constant
         assert np.array_equal(back.eta, model.eta)

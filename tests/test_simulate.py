@@ -80,6 +80,15 @@ class TestRunMonteCarlo:
         for key, arr in s1.per_replication.items():
             assert np.array_equal(arr, s2.per_replication[key]), key
 
+    def test_replications_fit_the_series_generate_trajectory_draws(self, sim_system):
+        sc = scenario(sim_system, replications=3)
+        summary = gm.run_monte_carlo(sc)
+        for k in range(sc.replications):
+            _, noisy = gm.generate_trajectory(sc, replication=k)
+            model = gm.fit_matching(noisy, sc.forcing, sc.include_constant)
+            assert np.array_equal(summary.per_replication["matching_A"][k],
+                                  model.A.reshape(-1))
+
     def test_structural_estimates_identical_per_replication(self, sim_system):
         sc = scenario(sim_system, replications=10)
         summary = gm.run_monte_carlo(sc)
