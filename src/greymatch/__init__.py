@@ -24,9 +24,8 @@ from .grey import (FittedModel, build_grey_regression, fit_grey, grey_forecast,
                    model_from_dict, model_to_dict, predict_on_grid,
                    select_initial_value, time_response)
 from .matching import build_matching_regression, fit_matching, matching_forecast
-from .numerics import (LeastSquaresSolution, convolution_integral,
-                       exosystem_response, matrix_exponential,
-                       solve_least_squares)
+from .numerics import (LeastSquaresSolution, convolution_integral, expm,
+                       exosystem_response, solve_least_squares)
 from .series import (ErrorReport, TimeGrid, VectorSeries, cusum,
                      integrate_piecewise_linear, inverse_cusum, make_series,
                      mape, read_csv, write_csv)

@@ -301,20 +301,33 @@ def spec_to_config(spec):
 
 
 def spec_from_config(config):
-    """Inverse of spec_to_config."""
+    """Inverse of spec_to_config.
+
+    Raises ValueError, not a TypeError or AttributeError, when the config
+    is not a JSON object or a field has a type its kind cannot take.
+    """
+    if not isinstance(config, dict):
+        raise ValueError(f"forcing config must be a JSON object, got {config!r}")
     kind = config.get("kind")
     if kind == "zero":
         return ZeroForcing()
-    if kind == "polynomial":
-        return PolynomialForcing(int(config["degree"]))
-    if kind == "fourier":
-        return FourierForcing(int(config["pairs"]), float(config["frequency"]))
-    if kind == "exogenous":
-        from .series import make_series
-
-        return ExogenousForcing(
-            make_series(np.array(config["times"]), np.array(config["values"]))
-        )
     if kind == "mixed":
-        return MixedForcing(tuple(spec_from_config(p) for p in config["parts"]))
+        parts = config["parts"]
+        if not isinstance(parts, list):
+            raise ValueError(f"mixed forcing 'parts' must be a list, got {parts!r}")
+        return MixedForcing(tuple(spec_from_config(p) for p in parts))
+    try:
+        if kind == "polynomial":
+            return PolynomialForcing(int(config["degree"]))
+        if kind == "fourier":
+            return FourierForcing(int(config["pairs"]), float(config["frequency"]))
+        if kind == "exogenous":
+            from .series import make_series
+
+            return ExogenousForcing(
+                make_series(np.array(config["times"]), np.array(config["values"]))
+            )
+    except TypeError as exc:
+        raise ValueError(f"{kind} forcing config has a field of the wrong "
+                         f"type: {exc}") from exc
     raise ValueError(f"unknown forcing kind {kind!r}")

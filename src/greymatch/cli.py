@@ -49,6 +49,15 @@ def _given(value, default):
     return default if value is None else value
 
 
+def _config_field(config, key, default, kinds, expected):
+    """config[key], or default when absent; ValueError unless it is one of
+    the given types (a JSON true or false never passes for a number)."""
+    value = config.get(key, default)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ValueError(f"config field {key!r} must be {expected}, got {value!r}")
+    return value
+
+
 def _split_index(args, n):
     if args.split is not None and args.train_fraction is not None:
         raise ValueError("give either --split or --train-fraction, not both")
@@ -71,12 +80,13 @@ def cmd_fit(args):
     spec = _basis.spec_from_config(config.get("forcing", {"kind": "zero"}))
     kind = config.get("model", "matching")
     if kind == "grey":
+        lam = _config_field(config, "lambda", 0.5, (int, float), "a number")
         model = _grey.fit_grey(train, spec,
                                strategy=config.get("strategy", "fixed_first"),
-                               background_lambda=config.get("lambda", 0.5))
+                               background_lambda=lam)
     elif kind == "matching":
-        model = _matching.fit_matching(train, spec,
-                                       include_constant=config.get("include_constant", True))
+        model = _matching.fit_matching(train, spec, include_constant=_config_field(
+            config, "include_constant", True, (bool,), "true or false"))
     else:
         raise ValueError(f"unknown model kind {config.get('model')!r}")
 

@@ -185,7 +185,7 @@ def select_initial_value(y, A, B, c, spec, strategy):
     if strategy == "least_squares":
         # the response is affine in eta: exp(A (t - t1)) eta + forced(t)
         forced = linear_response(A, B, c, spec, np.zeros(len(c)), t1, t)
-        design = np.vstack([_numerics.matrix_exponential(A, tk - t1) for tk in t])
+        design = _numerics.expm(A * (t - t1)[:, None, None]).reshape(-1, len(c))
         target = (y.values - forced).reshape(-1)
         return _numerics.solve_least_squares(design, target).coefficients
     raise ValueError(f"unknown strategy {strategy!r}")

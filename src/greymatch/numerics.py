@@ -1,16 +1,20 @@
-"""Dense small-matrix utilities: least squares, matrix exponentials, the
-exact time response of a linear system driven by an exosystem, and a
-Simpson convolution integral kept as an independent check of it.
+"""Dense small-matrix utilities: least squares, a batched matrix
+exponential, the exact time response of a linear system driven by an
+exosystem, and a Simpson convolution integral kept as an independent check
+of it.
 
-Everything here works on plain numpy arrays.  Matrices are small (the rest
-of the package uses d <= 2 state dimensions and a handful of forcing
-columns), so clarity wins over cleverness throughout.
+Everything here works on plain numpy arrays; numpy is the only runtime
+dependency.  Matrices are small (the rest of the package uses d <= 2 state
+dimensions and a handful of forcing columns), so per-call overhead, not
+flops, sets the cost: `expm` takes whole stacks of matrices in one call,
+and the response march raises one step exponential to all the powers a run
+of equally spaced times needs in a few stacked products.
 """
 
 from dataclasses import dataclass
+from math import factorial, prod
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import AlignmentError, SingularDesignError
 from .series import UNIFORM_RTOL
@@ -69,12 +73,86 @@ def solve_least_squares(design, targets):
     return LeastSquaresSolution(coeffs, residual, condition)
 
 
-def matrix_exponential(matrix, scale=1.0):
-    """exp(scale * matrix) via scaling-and-squaring (Pade approximant)."""
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"matrix exponential needs a square matrix, got {matrix.shape}")
-    return expm(scale * matrix)
+# Pade degrees m and the 1-norm bounds theta_m up to which the [m/m]
+# approximant of exp is accurate to double precision without scaling
+# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
+PADE_DEGREES = (3, 5, 7, 9, 13)
+PADE_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
+                       9.504178996162932e-1, 2.097847961257068e0,
+                       5.371920351148152e0])
+# Coefficients b_j = (2m - j)! / (j! (m - j)!) of the [m/m] approximant
+# V + U over V - U, with V = sum b_{2j} A^{2j} and U = A sum b_{2j+1} A^{2j}.
+_PADE_COEFFICIENTS = {
+    m: [factorial(2 * m - j) / (factorial(j) * factorial(m - j)) for j in range(m + 1)]
+    for m in PADE_DEGREES
+}
+
+
+def _pade(a, m):
+    """[m/m] Pade approximant of exp on a stack a of shape (k, n, n).
+
+    The sums of powers are formed entry by entry, so every slice gets the
+    same roundings however many others share the stack; degree 13 stops at
+    A^6 and takes the higher powers as A^6 times a sum (Higham 2005)."""
+    b = _PADE_COEFFICIENTS[m]
+    ident = np.eye(a.shape[-1])
+    powers = [a @ a]
+    while len(powers) < (3 if m == 13 else (m - 1) // 2):
+        powers.append(powers[-1] @ powers[0])
+    odd, even = b[1] * ident, b[0] * ident
+    for j, power in enumerate(powers, start=1):
+        odd = odd + b[2 * j + 1] * power
+        even = even + b[2 * j] * power
+    if m == 13:
+        a2, a4, a6 = powers
+        odd = odd + a6 @ (b[9] * a2 + b[11] * a4 + b[13] * a6)
+        even = even + a6 @ (b[8] * a2 + b[10] * a4 + b[12] * a6)
+    u = a @ odd
+    return np.linalg.solve(even - u, even + u)
+
+
+def _squared_pade(a, norms):
+    """exp of a stack whose 1-norms exceed theta_13: the degree-13
+    approximant of 2^-s a, squared s times, with s per matrix just large
+    enough to bring its norm within theta_13."""
+    squarings = np.ceil(np.log2(norms / PADE_THETA[-1]))
+    power = _pade(a / np.exp2(squarings)[:, None, None], 13)
+    for level in range(int(squarings.max())):
+        power = np.where((squarings > level)[:, None, None], power @ power, power)
+    return power
+
+
+def expm(a):
+    """exp(a) of a square matrix or a stack of them, shape (..., n, n).
+
+    Pade scaling and squaring (Higham 2005): each matrix gets the lowest
+    degree m in PADE_DEGREES whose bound theta_m covers its 1-norm, and a
+    matrix beyond theta_13 is scaled by 2^-s to within it, exponentiated and
+    squared s times.  Matrices of one degree are evaluated together, and a
+    slice of a stack gets the same operations as a call on it alone.  A 1x1
+    matrix is the scalar exponential of its entry.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"matrix exponential needs square matrices, got {a.shape}")
+    n = a.shape[-1]
+    stack = a.reshape(prod(a.shape[:-2]), n, n)
+    norms = np.abs(stack).sum(axis=1).max(axis=1, initial=0.0)
+    if not np.isfinite(norms).all():
+        raise ValueError("matrix exponential needs finite entries")
+    if n == 1:
+        return np.exp(a)
+    # index len(PADE_DEGREES) marks the matrices that need scaling
+    degree = np.searchsorted(PADE_THETA, norms)
+    groups = set(degree.tolist())
+    out = np.empty_like(stack)
+    for index in groups:
+        rows = degree == index if len(groups) > 1 else slice(None)
+        if index < len(PADE_DEGREES):
+            out[rows] = _pade(stack[rows], PADE_DEGREES[index])
+        else:
+            out[rows] = _squared_pade(stack[rows], norms[rows])
+    return out.reshape(a.shape)
 
 
 def convolution_integral(a_matrix, forcing, t_from, t_to, steps):
@@ -119,10 +197,12 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     (Van Loan, IEEE TAC 23(3), 1978), so no quadrature error enters.  The
     march runs outward from t1, forward to later times and backward to
     earlier ones, and re-reads w at each knot of the exosystem on the way.
-    A step exponential is reused while the steps agree to UNIFORM_RTOL, so
-    equally spaced times cost one exponential.  Times outside the
-    exosystem's domain raise AlignmentError.  Returns an array of shape
-    (len(times), d).
+    A step exponential P is reused while the steps agree to UNIFORM_RTOL.
+    A run of k equally spaced times with no knot between them takes the
+    powers P, P^2, ..., P^k, built by stacked doubling, in one product with
+    the state, so equally spaced times cost one exponential and about
+    log2(k) matrix products.  Times outside the exosystem's domain raise
+    AlignmentError.  Returns an array of shape (len(times), d).
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -135,13 +215,19 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
             f"t={outside[0]} outside the forcing's sample range [{lo}, {hi}]"
         )
     d, m = len(eta), len(exosystem.generator)
-    tail = np.ones(0 if constant is None else 1)
+    if constant is None:
+        tail = np.ones(0)
+    else:
+        # c enters as (c / g) times a constant state g, a power of two at
+        # least max |c|: exact, and it keeps the generator's 1-norm, which
+        # sets the Pade degree and the squarings, from growing with |c|
+        tail = np.exp2(np.ceil(np.log2(np.abs(constant).max(initial=1.0))))[None]
     gen = np.zeros((d + m + len(tail), d + m + len(tail)))
     gen[:d, :d] = a_matrix
     gen[:d, d:d + m] = gain
     gen[d:d + m, d:d + m] = exosystem.generator
     if constant is not None:
-        gen[:d, -1] = constant
+        gen[:d, -1] = constant / tail
     out = np.empty((len(times), d))
     knots = exosystem.knots
     for forward in (True, False):
@@ -155,17 +241,30 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
         stop_times = np.concatenate([inner, times[targets]])
         stop_index = np.concatenate([np.full(len(inner), -1), targets])
         order = np.argsort(sign * stop_times, kind="stable")
+        stops, kinds = stop_times[order], stop_index[order]
+        gaps = stops - np.concatenate([[t1], stops[:-1]])
         state = np.concatenate([eta, exosystem.state(t1, forward), tail])
-        at, h = t1, None
-        for t, k in zip(stop_times[order].tolist(), stop_index[order].tolist()):
-            if t != at:
-                if h is None or abs(t - at - h) > UNIFORM_RTOL * abs(h):
-                    h = t - at
-                    step = expm(gen * h)
-                state = step @ state
-                at = t
-            if k < 0:
-                state[d:d + m] = exosystem.state(t, forward)
+        h, i = None, 0
+        while i < len(stops):
+            j = i + 1
+            if gaps[i] == 0:
+                states = state[None]
             else:
-                out[k] = state[:d]
+                if h is None or abs(gaps[i] - h) > UNIFORM_RTOL * abs(h):
+                    h = gaps[i]
+                    step = expm(gen * h)
+                if kinds[i] >= 0:
+                    # the targets that follow at the same step, up to a knot
+                    same = (kinds[j:] >= 0) & (abs(gaps[j:] - h) <= UNIFORM_RTOL * abs(h))
+                    j += len(same) if same.all() else int(same.argmin())
+                powers = step[None]
+                while len(powers) < j - i:
+                    powers = np.concatenate([powers, powers[-1] @ powers])
+                states = powers[:j - i] @ state
+                state = states[-1]
+            if kinds[i] < 0:
+                state[d:d + m] = exosystem.state(stops[i], forward)
+            else:
+                out[kinds[i:j]] = states[:, :d]
+            i = j
     return out

@@ -119,11 +119,10 @@ def integrate_piecewise_linear(series):
     """Second-order (trapezoid) discretization of x(t_1) + int x ds."""
     x = series.values
     h = series.grid.intervals
-    y = np.empty_like(x)
-    y[0] = x[0]
-    for k in range(1, len(x)):
-        y[k] = y[k - 1] + 0.5 * h[k] * (x[k - 1] + x[k])
-    return VectorSeries(series.grid, y)
+    # cumsum adds the increments in row order, so each row rounds exactly
+    # as a running sum does
+    increments = np.concatenate([x[:1], 0.5 * h[1:, None] * (x[:-1] + x[1:])])
+    return VectorSeries(series.grid, np.cumsum(increments, axis=0))
 
 
 @dataclass(frozen=True)

@@ -99,7 +99,7 @@ class TestExogenous:
             u = exo.output @ exo.state(0.75, forward)
             assert u[0] == pytest.approx((np.sin(0.5) + np.sin(1.0)) / 2)
         # within one interval the state flows with its generator
-        moved = gm.matrix_exponential(exo.generator, 0.15) @ exo.state(0.6)
+        moved = gm.expm(0.15 * exo.generator) @ exo.state(0.6)
         assert np.allclose(moved, exo.state(0.75), atol=1e-14)
         for outside in (99.0, -1.0):
             with pytest.raises(AlignmentError):

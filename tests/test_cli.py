@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,6 +114,32 @@ class TestFit:
                                   "--model", str(config))
         assert code == cli.EXIT_USAGE
         assert "background_lambda" in json.loads(stderr)["message"]
+
+    @pytest.mark.parametrize("config, named", [
+        ({"model": "grey", "lambda": None}, "'lambda'"),
+        ({"model": "grey", "lambda": "0.5"}, "'lambda'"),
+        ({"model": "matching", "forcing": [1]}, "forcing config"),
+        ({"model": "matching", "include_constant": "no"}, "'include_constant'"),
+        ({"model": "grey", "forcing": None}, "forcing config"),
+        ({"model": "grey", "forcing": {"kind": "polynomial", "degree": None}},
+         "polynomial forcing"),
+        ({"model": "grey", "forcing": {"kind": "fourier", "pairs": 1,
+                                       "frequency": None}}, "fourier forcing"),
+        ({"model": "grey", "forcing": {"kind": "mixed", "parts": None}}, "'parts'"),
+        ({"model": "grey", "forcing": {"kind": "mixed", "parts": [1]}},
+         "forcing config"),
+    ], ids=["lambda-null", "lambda-string", "forcing-list", "include-constant-string",
+            "forcing-null", "degree-null", "frequency-null", "parts-null", "part-int"])
+    def test_wrongly_typed_config_is_a_usage_error(self, capsys, tmp_path,
+                                                   water_csv, config, named):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        code, _, stderr = run_cli(capsys, "fit", "--input", str(water_csv),
+                                  "--model", str(path))
+        assert code == cli.EXIT_USAGE
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert named in error["message"]
 
 
 class TestForecast:
@@ -298,6 +327,18 @@ def test_non_object_json_is_a_usage_error(capsys, tmp_path, water_csv, argv):
     err = json.loads(stderr)
     assert err["error"] == "ValueError"
     assert "JSON object" in err["message"]
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: a fresh process that imports the
+    # command line must not load any part of it
+    source = str(Path(gm.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, greymatch.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, check=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": source})
+    assert done.stdout.strip() == "[]"
 
 
 class TestReproduce:

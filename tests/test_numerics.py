@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -67,23 +68,23 @@ def taylor_exponential(m, terms=60):
 
 class TestMatrixExponential:
     def test_zero_matrix(self):
-        assert np.array_equal(numerics.matrix_exponential(np.zeros((2, 2)), 3.7),
+        assert np.array_equal(numerics.expm(3.7 * np.zeros((2, 2))),
                               np.eye(2))
 
     def test_nilpotent(self):
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(numerics.matrix_exponential(m),
+        assert np.allclose(numerics.expm(m),
                            [[1.0, 1.0], [0.0, 1.0]], atol=1e-15)
 
     def test_against_taylor_oracle(self):
         m = np.array([[-0.25, 0.70], [0.75, -0.25]])
-        got = numerics.matrix_exponential(m)
+        got = numerics.expm(m)
         ref = taylor_exponential(m)
         assert np.abs(got - ref).max() / np.abs(ref).max() < 1e-10
 
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
-            numerics.matrix_exponential(np.ones((2, 3)))
+            numerics.expm(np.ones((2, 3)))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), scale=st.floats(0.1, 3.8))
@@ -94,14 +95,68 @@ class TestMatrixExponential:
         rng = np.random.default_rng(seed)
         m = rng.normal(size=(2, 2))
         m *= scale / max(np.linalg.norm(m, 2), 1e-9)
-        fwd = numerics.matrix_exponential(m, 1.3)
-        back = numerics.matrix_exponential(m, -1.3)
+        fwd = numerics.expm(1.3 * m)
+        back = numerics.expm(-1.3 * m)
         assert np.abs(fwd @ back - np.eye(2)).max() < 1e-9 * max(
             1.0, np.abs(fwd).max() * np.abs(back).max())
         s, t = 0.7, 1.9
-        lhs = numerics.matrix_exponential(m, s + t)
-        rhs = numerics.matrix_exponential(m, s) @ numerics.matrix_exponential(m, t)
+        lhs = numerics.expm((s + t) * m)
+        rhs = numerics.expm(s * m) @ numerics.expm(t * m)
         assert np.abs(lhs - rhs).max() < 1e-9 * max(1.0, np.abs(lhs).max())
+
+
+EPS = np.finfo(float).eps
+
+
+def random_matrix(rng, n, norm):
+    """An n x n Gaussian matrix rescaled to the given 1-norm."""
+    m = rng.normal(size=(n, n))
+    return m * (norm / np.abs(m).sum(axis=0).max())
+
+
+class TestExpm:
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 8),
+           log_norm=st.floats(-3.0, 2.0))
+    def test_matches_scipy(self, seed, n, log_norm):
+        # Over 7500 such draws the largest gap was 1.1e-11 relative, at
+        # 1-norms between 10 and 100; against a 40-digit reference that gap
+        # was scipy's own error, while this function stayed below 1e-13.
+        m = random_matrix(np.random.default_rng(seed), n, 10.0 ** log_norm)
+        want = scipy.linalg.expm(m)
+        assert np.abs(numerics.expm(m) - want).max() <= 5e-11 * np.abs(want).max()
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_batched_slices_equal_single_calls(self, n):
+        # norms from 1e-3 to 1e2 reach every Pade degree and the squaring
+        rng = np.random.default_rng(n)
+        norms = np.geomspace(1e-3, 1e2, 24)
+        stack = np.array([random_matrix(rng, n, s) for s in rng.permutation(norms)])
+        batched = numerics.expm(stack.reshape(4, 6, n, n)).reshape(stack.shape)
+        for matrix, got in zip(stack, batched):
+            assert np.array_equal(got, numerics.expm(matrix))
+
+    def test_zero_stack_is_identity(self):
+        assert np.array_equal(numerics.expm(np.zeros((3, 4, 4))),
+                              np.broadcast_to(np.eye(4), (3, 4, 4)))
+
+    @pytest.mark.parametrize("t", [1e-3, 0.4, 3.0, 40.0])
+    def test_nilpotent_closed_form(self, t):
+        shift = t * np.eye(3, k=1)
+        want = np.array([[1.0, t, t * t / 2], [0.0, 1.0, t], [0.0, 0.0, 1.0]])
+        assert np.abs(numerics.expm(shift) - want).max() <= 8 * EPS * np.abs(want).max()
+
+    def test_rotation_closed_form(self):
+        # scipy's expm is 3.6e-13 off at the angle 60; this one 1.3e-15
+        angles = np.array([1e-3, 0.3, 2.0, 7.5, 60.0])
+        generators = angles[:, None, None] * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        c, s = np.cos(angles), np.sin(angles)
+        want = np.stack([np.stack([c, s], -1), np.stack([-s, c], -1)], -2)
+        assert np.abs(numerics.expm(generators) - want).max() < 1e-13
+
+    def test_rejects_non_finite_entries(self):
+        with pytest.raises(ValueError):
+            numerics.expm(np.array([[0.0, np.nan], [0.0, 0.0]]))
 
 
 class TestConvolutionIntegral:
@@ -179,3 +234,22 @@ class TestPolynomialResponse:
         ])
         stepped = polynomial_response(a, coeffs, eta, 0.0, uniform)
         assert np.abs(single - stepped).max() < 1e-11
+
+    def test_power_doubling_matches_single_steps(self):
+        # 111 equally spaced times around t1: a backward run of 40, t1
+        # itself, a forward run of 70 and a repeated time, each marched by
+        # powers of one step exponential, against one exponential per time
+        rng = np.random.default_rng(21)
+        a = rng.normal(scale=0.3, size=(2, 2))
+        coeffs = rng.normal(size=(2, 3))
+        eta = rng.normal(size=2)
+        grid = 0.5 + 0.05 * np.arange(111)
+        t1 = float(grid[40])
+        times = np.insert(grid, 90, grid[90])
+        single = np.vstack([
+            polynomial_response(a, coeffs, eta, t1, np.array([t])) for t in times
+        ])
+        marched = polynomial_response(a, coeffs, eta, t1, times)
+        assert np.array_equal(marched[40], eta)
+        assert np.array_equal(marched[90], marched[91])
+        assert np.abs(marched - single).max() < 1e-12 * np.abs(single).max()

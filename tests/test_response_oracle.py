@@ -98,3 +98,16 @@ def test_jittered_grid_is_not_uniform():
     spec = gm.PolynomialForcing(2)
     assert_matches_oracle(a, rng.normal(size=(2, 2)), rng.normal(size=2), spec,
                           rng.normal(size=2), 0.0, times)
+
+
+def test_large_constant():
+    # c rides in the march as (c / g) times a power of two g >= max |c|;
+    # a grey model's c is of the size of the data
+    rng = np.random.default_rng(31)
+    a = make_stable_system(rng, 2)
+    spec = gm.PolynomialForcing(2)
+    times = 2.0 + 0.5 * np.arange(30)
+    c = np.array([3.1e3, -517.0])
+    for t1 in (2.0, 16.5):
+        assert_matches_oracle(a, rng.normal(size=(2, 2)), c, spec,
+                              rng.normal(size=2), t1, times)

@@ -58,6 +58,18 @@ def integrate_piecewise_constant(series):
     return gm.VectorSeries(series.grid, y)
 
 
+def integrate_piecewise_linear_loop(series):
+    """The trapezoid running sum as a plain loop, the reference that
+    series.integrate_piecewise_linear must equal bit for bit."""
+    x = series.values
+    h = series.grid.intervals
+    y = np.empty_like(x)
+    y[0] = x[0]
+    for k in range(1, len(x)):
+        y[k] = y[k - 1] + 0.5 * h[k] * (x[k - 1] + x[k])
+    return gm.VectorSeries(series.grid, y)
+
+
 class TestIntegralDiscretizations:
     def test_piecewise_constant_equals_cusum(self):
         rng = np.random.default_rng(2)
@@ -78,6 +90,15 @@ class TestIntegralDiscretizations:
             return abs(got - (0.0 + 0.5))
 
         assert endpoint_error(0.05) == pytest.approx(endpoint_error(0.1) / 2, rel=0.1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 3))
+    def test_trapezoid_equals_loop_reference(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        t = np.cumsum(rng.uniform(0.05, 3.0, n))
+        s = gm.make_series(t, rng.normal(scale=10.0, size=(n, d)))
+        assert np.array_equal(gm.integrate_piecewise_linear(s).values,
+                              integrate_piecewise_linear_loop(s).values)
 
     def test_trapezoid_exact_on_linear(self):
         t = np.array([0.0, 0.4, 1.1, 2.0])
