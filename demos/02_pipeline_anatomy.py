@@ -1,20 +1,22 @@
 """Anatomy of the two estimation pipelines on a toy series.
 
 Both pipelines explain the data with the same linear model family
-dz/dt = A z + B u(t) + c; they differ in which series they regress on.
+dz/dt = A z + B u(t) + c, and both fit it by one regression,
+grey.integral_regression: the raw values x(t_k) against an integral of x,
+forcing columns and an intercept.  They differ only in the quadrature rule.
 
-* grey: cumulative-sum the data, blend consecutive cusum points with the
-  trapezoid weights, least-square the structure, then pick an initial
-  value and restore forecasts through the inverse cusum.
-* integral matching: trapezoid-integrate the raw data and regress the raw
-  values on that integral, estimating the initial value as just another
-  regression coefficient.
+* grey: the integral is the background value of the cusum (consecutive
+  cusum points blended with the trapezoid weights), the intercept is c;
+  then pick an initial value and restore forecasts through the inverse
+  cusum.
+* integral matching: the integral is the trapezoid integral of the raw
+  data, a ramp t - t1 carries c, and the intercept is the initial value.
 """
 
 import numpy as np
 
 import greymatch as gm
-from greymatch import grey, matching
+from greymatch import grey
 
 rng = np.random.default_rng(7)
 t = np.arange(1.0, 13.0)
@@ -28,12 +30,22 @@ print("restored  :", np.round(gm.inverse_cusum(y).values[:, 0], 2))
 
 spec = gm.PolynomialForcing(1)
 
-# the two design matrices, side by side
-sample = gm.evaluate_forcing(spec, raw.grid)
-theta, x_g = grey.build_grey_regression(y, sample, background_lambda=0.5)
-omega, x_m = matching.build_matching_regression(raw, sample)
-print("\ngrey design row 1     :", np.round(theta[0], 3))
-print("matching design row 1 :", np.round(omega[0], 3))
+# each pipeline's rule: [integral of x, forcing, ramp], then the shared fit
+x = raw.values
+u = spec.values(t)
+U = spec.antiderivatives(t)
+rules = {
+    "grey": ((y.values[:-1] + y.values[1:]) / 2.0, (u[:-1] + u[1:]) / 2.0, None,
+             "c"),
+    "matching": ((gm.integrate_piecewise_linear(raw).values - x[0])[1:],
+                 U[1:] - U[0], t[1:] - t[0], "c, eta"),
+}
+print(f"\ntarget row 1 (raw x at t = {t[1]:g}): {x[1, 0]:.3f}")
+for name, (integral, forcing, ramp, rest_names) in rules.items():
+    first = [integral[0, 0], *forcing[0], *([] if ramp is None else [ramp[0]]), 1.0]
+    A, B, rest, _ = grey.integral_regression(raw, integral, forcing, ramp)
+    print(f"{name:>8} design row 1 : {np.round(first, 3)}  ->  a = {A[0, 0]:.4f}, "
+          f"b1 = {B[0, 0]:.4f}, ({rest_names}) = {np.round(rest[:, 0], 4)}")
 
 gmodel = gm.fit_grey(raw, spec, strategy="least_squares")
 mmodel = gm.fit_matching(raw, spec)

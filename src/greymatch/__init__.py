@@ -12,18 +12,17 @@ The simulate module provides a reproducible Monte Carlo harness comparing
 the two, and repro rebuilds the shipped benchmark tables.
 """
 
-from .basis import (ExogenousForcing, Exosystem, ForcingSample,
-                    FourierForcing, MixedForcing, PolynomialForcing, ZeroForcing,
-                    evaluate_forcing, forcing_derivative, spec_from_config,
+from .basis import (ExogenousForcing, Exosystem, FourierForcing, MixedForcing,
+                    PolynomialForcing, ZeroForcing, spec_from_config,
                     spec_to_config)
 from .errors import (AlignmentError, CsvFormatError, DataError,
                      GreymatchError, InsufficientDataError, NumericalError,
                      OverflowGuardError, SingularDesignError, StrategyError,
                      UnsupportedForcingError, ZeroValueError)
-from .grey import (FittedModel, build_grey_regression, fit_grey, grey_forecast,
+from .grey import (FittedModel, fit_grey, grey_forecast, integral_regression,
                    model_from_dict, model_to_dict, predict_on_grid,
                    select_initial_value, time_response)
-from .matching import build_matching_regression, fit_matching, matching_forecast
+from .matching import fit_matching, matching_forecast
 from .numerics import (LeastSquaresSolution, convolution_integral, expm,
                        exosystem_response, solve_least_squares)
 from .series import (ErrorReport, TimeGrid, VectorSeries, cusum,

@@ -21,14 +21,6 @@ from .series import TimeGrid, VectorSeries, integrate_piecewise_linear
 
 
 @dataclass(frozen=True)
-class ForcingSample:
-    """Basis values u(t_k) and antiderivatives U(t_k) on a grid."""
-
-    values: np.ndarray
-    antiderivatives: np.ndarray
-
-
-@dataclass(frozen=True)
 class Exosystem:
     """Forcing written as the output u = C w of a linear system w' = S w.
 
@@ -270,15 +262,14 @@ class MixedForcing:
         )
 
 
-def evaluate_forcing(spec, grid):
-    """Sample basis values and antiderivatives on a time grid."""
-    t = grid.points
-    return ForcingSample(spec.values(t), spec.antiderivatives(t))
-
-
-def forcing_derivative(spec, grid):
-    """Sample du/dt on a grid (analytic specs only)."""
-    return spec.derivatives(grid.points)
+def config_field(config, key, default, kinds, expected, owner="config"):
+    """config[key], or default when absent; ValueError naming the field
+    unless it is one of the given types (a JSON true or false never passes
+    for a number)."""
+    value = config.get(key, default)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        raise ValueError(f"{owner} field {key!r} must be {expected}, got {value!r}")
+    return value
 
 
 def spec_to_config(spec):
@@ -304,7 +295,8 @@ def spec_from_config(config):
     """Inverse of spec_to_config.
 
     Raises ValueError, not a TypeError or AttributeError, when the config
-    is not a JSON object or a field has a type its kind cannot take.
+    is not a JSON object or a field has a type its kind cannot take:
+    degree and pairs must be JSON integers, frequency a number.
     """
     if not isinstance(config, dict):
         raise ValueError(f"forcing config must be a JSON object, got {config!r}")
@@ -318,9 +310,14 @@ def spec_from_config(config):
         return MixedForcing(tuple(spec_from_config(p) for p in parts))
     try:
         if kind == "polynomial":
-            return PolynomialForcing(int(config["degree"]))
+            return PolynomialForcing(config_field(config, "degree", None, (int,),
+                                                  "an integer", "polynomial forcing"))
         if kind == "fourier":
-            return FourierForcing(int(config["pairs"]), float(config["frequency"]))
+            return FourierForcing(
+                config_field(config, "pairs", None, (int,), "an integer",
+                             "fourier forcing"),
+                float(config_field(config, "frequency", None, (int, float),
+                                   "a number", "fourier forcing")))
         if kind == "exogenous":
             from .series import make_series
 

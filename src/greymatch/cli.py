@@ -49,15 +49,6 @@ def _given(value, default):
     return default if value is None else value
 
 
-def _config_field(config, key, default, kinds, expected):
-    """config[key], or default when absent; ValueError unless it is one of
-    the given types (a JSON true or false never passes for a number)."""
-    value = config.get(key, default)
-    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-        raise ValueError(f"config field {key!r} must be {expected}, got {value!r}")
-    return value
-
-
 def _split_index(args, n):
     if args.split is not None and args.train_fraction is not None:
         raise ValueError("give either --split or --train-fraction, not both")
@@ -80,12 +71,12 @@ def cmd_fit(args):
     spec = _basis.spec_from_config(config.get("forcing", {"kind": "zero"}))
     kind = config.get("model", "matching")
     if kind == "grey":
-        lam = _config_field(config, "lambda", 0.5, (int, float), "a number")
+        lam = _basis.config_field(config, "lambda", 0.5, (int, float), "a number")
         model = _grey.fit_grey(train, spec,
                                strategy=config.get("strategy", "fixed_first"),
                                background_lambda=lam)
     elif kind == "matching":
-        model = _matching.fit_matching(train, spec, include_constant=_config_field(
+        model = _matching.fit_matching(train, spec, include_constant=_basis.config_field(
             config, "include_constant", True, (bool,), "true or false"))
     else:
         raise ValueError(f"unknown model kind {config.get('model')!r}")
@@ -132,22 +123,28 @@ def cmd_forecast(args):
 
 def cmd_simulate(args):
     payload = _load_json(args.scenario)
+
+    def integer(key, default):
+        return _basis.config_field(payload, key, default, (int,), "an integer",
+                                   "scenario")
+
     scenario = _simulate.SimulationScenario(
         a_matrix=np.array(payload["A"], dtype=float),
         initial_state=np.array(payload["initial_state"], dtype=float),
         snr=float(payload["snr"]),
-        replications=_given(args.reps, int(payload.get("replications", 200))),
-        seed=_given(args.seed, int(payload.get("seed", 0))),
+        replications=_given(args.reps, integer("replications", 200)),
+        seed=_given(args.seed, integer("seed", 0)),
         forcing=_basis.spec_from_config(payload.get("forcing", {"kind": "zero"})),
         b_matrix=np.array(payload["B"], dtype=float) if "B" in payload else None,
         constant=np.array(payload["constant"], dtype=float)
         if "constant" in payload else None,
         t_span=tuple(payload.get("t_span", (0.0, 5.0))),
         step=float(payload.get("step", 0.25)),
-        horizon=int(payload.get("horizon", 10)),
+        horizon=integer("horizon", 10),
         noise_exponent=float(payload.get("noise_exponent", 2.0)),
         noise_scale=float(payload.get("noise_scale", 1.10)),
-        include_constant=bool(payload.get("include_constant", False)),
+        include_constant=_basis.config_field(payload, "include_constant", False,
+                                              (bool,), "true or false", "scenario"),
     )
     summary = _simulate.run_monte_carlo(scenario)
     out_dir = Path(args.output or ".")

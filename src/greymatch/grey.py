@@ -1,10 +1,13 @@
 """The grey pipeline: cusum the raw series, fit the structural parameters of
-dy/dt = A y + B u(t) + c by a weighted-trapezoid regression, choose an
-initial value, evaluate the time response and restore to the original scale.
+dy/dt = A y + B u(t) + c, choose an initial value, evaluate the time
+response and restore to the original scale.
 
-The fitted-model record, its time response, its predictions and its JSON
-form live here too and serve both pipelines: integral matching fits the
-same family on the raw scale.
+Both pipelines fit by one integral-matching regression, defined here: the
+raw values x(t_k) are regressed on an integral of x, forcing columns and an
+intercept.  The grey pipeline's integral is the background value of the
+cusum; integral matching (matching.py) uses the trapezoid integral.  The
+fitted-model record, its time response, its predictions and its JSON form
+live here too and serve both pipelines.
 """
 
 from dataclasses import dataclass
@@ -53,57 +56,53 @@ class FittedModel:
         return self.A.shape[0]
 
 
-def build_grey_regression(y, forcing, background_lambda=0.5):
-    """Design and target matrices of the discretized cusum-side model.
+def integral_regression(raw, integral, forcing, ramp=None):
+    """Least-squares fit of the integral form of dx/dt = A x + B u(t) + c.
 
-    Rows k = 2..n:  [lam*y(t_{k-1}) + (1-lam)*y(t_k),
-                     lam*u(t_{k-1}) + (1-lam)*u(t_k),  1]
-    against difference quotients (y(t_k) - y(t_{k-1})) / h_k.
+    Rows k = 2..n:  x(t_k)  ~  A I_k + B F_k [+ c r_k] + intercept,
+    with I the integral of x under the pipeline's quadrature rule, F the
+    forcing columns under the same rule and r the optional ramp (n - 1 rows
+    each).  The cusum is a discrete form of the integral operator, so the
+    two pipelines differ only in these arguments.
+    Returns (A, B, rest, residual_norm), where rest holds the coefficient
+    rows after B: the ramp's (when given), then the intercept's.
     """
-    lam = background_lambda
-    yv = y.values
-    n, d = yv.shape
-    p = forcing.values.shape[1]
-    if n - 1 < d + p + 1:
+    x = raw.values
+    n, d = x.shape
+    p = forcing.shape[1]
+    ramp = [] if ramp is None else [ramp[:, None]]
+    design = np.column_stack([integral, forcing, *ramp, np.ones((n - 1, 1))])
+    if n - 1 < design.shape[1]:
         raise InsufficientDataError(
-            f"need at least {d + p + 2} points for d={d}, p={p}; got {n}"
+            f"need at least {design.shape[1] + 1} points for this model; got {n}"
         )
-    background = lam * yv[:-1] + (1.0 - lam) * yv[1:]
-    blocks = [background]
-    if p:
-        u = forcing.values
-        blocks.append(lam * u[:-1] + (1.0 - lam) * u[1:])
-    blocks.append(np.ones((n - 1, 1)))
-    design = np.column_stack(blocks)
-    h = y.grid.intervals[1:]
-    targets = (yv[1:] - yv[:-1]) / h[:, None]
-    return design, targets
+    solution = _numerics.solve_least_squares(design, x[1:])
+    stacked = solution.coefficients  # rows: A^T | B^T | rest
+    return stacked[:d].T, stacked[d:d + p].T, stacked[d + p:], solution.residual_norm
 
 
 def fit_grey(raw, spec, strategy="fixed_first", background_lambda=0.5):
     """Fit the grey model to a raw series (the cusum happens internally).
 
-    background_lambda weights the earlier point of each interval in the
-    background-value blend; 0.5 is the trapezoid rule used throughout the
-    literature.
+    The integral of x is the background value of the cusum y,
+    lam * y(t_{k-1}) + (1 - lam) * y(t_k), and the forcing columns blend
+    u(t_k) the same way; the intercept is c.  background_lambda (lam)
+    weights the earlier point of each interval; 0.5 is the trapezoid rule
+    used throughout the literature.
     """
     if strategy not in INITIAL_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {INITIAL_STRATEGIES}")
     if not 0.0 <= background_lambda <= 1.0:
         raise ValueError("background_lambda must lie in [0, 1]")
+    lam = background_lambda
     y = _series.cusum(raw)
-    sample = _basis.evaluate_forcing(spec, y.grid)
-    design, targets = build_grey_regression(y, sample, background_lambda)
-    solution = _numerics.solve_least_squares(design, targets)
-    d = raw.d
-    p = spec.dimension
-    stacked = solution.coefficients  # rows: A^T | B^T | c^T
-    A = stacked[:d].T
-    B = stacked[d:d + p].T if p else np.zeros((d, 0))
-    c = stacked[d + p]
+    u = spec.values(y.grid.points)
+    A, B, (c,), residual = integral_regression(
+        raw, lam * y.values[:-1] + (1.0 - lam) * y.values[1:],
+        lam * u[:-1] + (1.0 - lam) * u[1:])
     eta = select_initial_value(y, A, B, c, spec, strategy)
     return FittedModel(A, B, c, eta, spec, float(y.grid.points[0]), "grey",
-                       solution.residual_norm, strategy, background_lambda)
+                       residual, strategy, background_lambda)
 
 
 def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):

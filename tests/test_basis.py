@@ -8,10 +8,9 @@ from greymatch.errors import AlignmentError, UnsupportedForcingError
 
 class TestEvaluate:
     def test_zero_spec_has_no_columns(self):
-        grid = gm.TimeGrid(np.arange(4.0))
-        sample = gm.evaluate_forcing(gm.ZeroForcing(), grid)
-        assert sample.values.shape == (4, 0)
-        assert sample.antiderivatives.shape == (4, 0)
+        t = np.arange(4.0)
+        assert gm.ZeroForcing().values(t).shape == (4, 0)
+        assert gm.ZeroForcing().antiderivatives(t).shape == (4, 0)
 
     def test_polynomial_monomials(self):
         spec = gm.PolynomialForcing(2)
@@ -36,8 +35,7 @@ class TestEvaluate:
         assert np.allclose(spec.derivatives(np.array([3.0])), [[1.0, 6.0]])
 
     def test_zero_derivative_empty(self):
-        grid = gm.TimeGrid(np.arange(4.0))
-        assert gm.forcing_derivative(gm.ZeroForcing(), grid).shape == (4, 0)
+        assert gm.ZeroForcing().derivatives(np.arange(4.0)).shape == (4, 0)
 
 
 class TestAntiderivatives:

@@ -141,6 +141,28 @@ class TestFit:
         assert error["error"] == "ValueError"
         assert named in error["message"]
 
+    @pytest.mark.parametrize("forcing, named", [
+        ({"kind": "polynomial", "degree": 2.5}, "'degree'"),
+        ({"kind": "polynomial", "degree": "2"}, "'degree'"),
+        ({"kind": "polynomial", "degree": True}, "'degree'"),
+        ({"kind": "fourier", "pairs": 1.5, "frequency": 0.2}, "'pairs'"),
+        ({"kind": "fourier", "pairs": "1", "frequency": 0.2}, "'pairs'"),
+        ({"kind": "fourier", "pairs": 1, "frequency": True}, "'frequency'"),
+    ], ids=["degree-float", "degree-string", "degree-bool", "pairs-float",
+            "pairs-string", "frequency-bool"])
+    def test_forcing_count_must_be_an_integer(self, capsys, tmp_path, water_csv,
+                                              forcing, named):
+        path = tmp_path / "config.json"
+        out = tmp_path / "fitted.json"
+        path.write_text(json.dumps({"model": "grey", "forcing": forcing}))
+        code, _, stderr = run_cli(capsys, "fit", "--input", str(water_csv),
+                                  "--model", str(path), "--output", str(out))
+        assert code == cli.EXIT_USAGE
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert named in error["message"]
+        assert not out.exists()
+
 
 class TestForecast:
     def test_round_trip_fit_then_forecast_is_bit_identical(
@@ -275,6 +297,31 @@ class TestSimulate:
                                   "--reps", "0", "--output", str(out))
         assert code == cli.EXIT_USAGE
         assert "need at least one replication" in json.loads(stderr)["message"]
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("include_constant", "false"),
+        ("include_constant", 0),
+        ("replications", 2.5),
+        ("replications", True),
+        ("seed", "4"),
+        ("horizon", 10.5),
+    ])
+    def test_wrongly_typed_scenario_is_a_usage_error(self, capsys, tmp_path,
+                                                     field, value):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "A": [[-0.25, 0.70], [0.75, -0.25]],
+            "initial_state": [1.20, 0.35],
+            "snr": 5.0, "replications": 4, "seed": 4, field: value,
+        }))
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                  "--output", str(out))
+        assert code == cli.EXIT_USAGE
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert repr(field) in error["message"]
         assert not (out / "summary.json").exists()
 
 

@@ -10,49 +10,69 @@ from greymatch.errors import (InsufficientDataError, OverflowGuardError,
 
 
 class TestBuildRegression:
+    """fit_grey is grey.integral_regression with the cusum background as its
+    integral: x(t_k) ~ A bg_k + B u_bg_k + c."""
+
     def test_hand_assembled_example(self):
-        y = gm.make_series([1.0, 2.0, 3.0], [1.0, 3.0, 6.0])
-        sample = gm.evaluate_forcing(gm.ZeroForcing(), y.grid)
-        design, targets = grey.build_grey_regression(y, sample, 0.5)
-        assert np.allclose(design, [[2.0, 1.0], [4.5, 1.0]])
-        assert np.allclose(targets, [[2.0], [3.0]])
+        raw = gm.make_series([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        assert np.allclose(gm.cusum(raw).values[:, 0], [1.0, 3.0, 6.0])
+        # background [2, 4.5] against targets [2, 3]: a = 0.4, c = 1.2
+        A, B, (c,), residual = grey.integral_regression(
+            raw, np.array([[2.0], [4.5]]), np.zeros((2, 0)))
+        assert np.allclose([A[0, 0], c[0]], [0.4, 1.2])
+        assert residual == pytest.approx(0.0, abs=1e-12)
+        assert B.shape == (1, 0)
+        model = gm.fit_grey(raw, gm.ZeroForcing())
+        assert np.array_equal(model.A, A) and np.array_equal(model.c, c)
 
     def test_lambda_one_keeps_earlier_point(self):
-        y = gm.make_series([1.0, 2.0, 3.0], [1.0, 3.0, 6.0])
-        sample = gm.evaluate_forcing(gm.ZeroForcing(), y.grid)
-        design, _ = grey.build_grey_regression(y, sample, 1.0)
-        assert np.allclose(design[:, 0], [1.0, 3.0])
+        # background [1, 3] against targets [2, 3]: a = 0.5, c = 1.5
+        raw = gm.make_series([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        model = gm.fit_grey(raw, gm.ZeroForcing(), background_lambda=1.0)
+        assert np.allclose([model.A[0, 0], model.c[0]], [0.5, 1.5])
+        A, _, (c,), _ = grey.integral_regression(raw, np.array([[1.0], [3.0]]),
+                                                 np.zeros((2, 0)))
+        assert np.array_equal(model.A, A) and np.array_equal(model.c, c)
 
     def test_constant_cusum_gives_zero_targets(self):
+        # the targets are the raw values x_2..x_n, which a constant cusum
+        # makes zero, so every coefficient is zero
         y = gm.make_series(np.arange(5.0), np.full(5, 2.2))
-        sample = gm.evaluate_forcing(gm.ZeroForcing(), y.grid)
-        _, targets = grey.build_grey_regression(y, sample, 0.5)
-        assert np.allclose(targets, 0.0)
+        raw = gm.inverse_cusum(y)
+        assert np.array_equal(raw.values[1:], np.zeros((4, 1)))
+        A, B, rest, residual = grey.integral_regression(
+            raw, np.arange(1.0, 5.0)[:, None], np.zeros((4, 0)))
+        assert np.allclose(A, 0.0) and np.allclose(rest, 0.0)
+        assert residual == pytest.approx(0.0, abs=1e-12)
 
     def test_reproduces_trapezoid_matrices_exactly(self):
         rng = np.random.default_rng(12)
         raw = gm.make_series(np.arange(1.0, 9.0), np.abs(rng.normal(size=(8, 2))) + 1)
         spec = gm.PolynomialForcing(1)
         y = gm.cusum(raw)
-        sample = gm.evaluate_forcing(spec, y.grid)
-        design, targets = grey.build_grey_regression(y, sample, 0.5)
         yv = y.values
         t = y.grid.points
-        manual = np.column_stack([
-            (yv[:-1] + yv[1:]) / 2.0,
-            ((t[:-1] + t[1:]) / 2.0)[:, None],
-            np.ones((7, 1)),
-        ])
-        assert np.array_equal(design, manual)
+        background = (yv[:-1] + yv[1:]) / 2.0
+        forcing = ((t[:-1] + t[1:]) / 2.0)[:, None]
+        A, B, (c,), _ = grey.integral_regression(raw, background, forcing)
+        model = gm.fit_grey(raw, spec)
+        assert np.array_equal(model.A, A)
+        assert np.array_equal(model.B, B)
+        assert np.array_equal(model.c, c)
         # difference quotients of the cusum restore the raw values up to
-        # round-off of the running sum
+        # round-off of the running sum, so regressing them instead of the
+        # raw values moves the coefficients by round-off only
+        targets = (yv[1:] - yv[:-1]) / y.grid.intervals[1:, None]
         assert np.abs(targets - raw.values[1:]).max() < 1e-13
+        design = np.column_stack([background, forcing, np.ones((7, 1))])
+        quotient_fit = gm.solve_least_squares(design, targets).coefficients
+        stacked = np.vstack([A.T, B.T, c])
+        assert np.abs(quotient_fit - stacked).max() <= 1e-12 * np.abs(stacked).max()
 
     def test_too_few_rows(self):
-        y = gm.make_series([1.0, 2.0], [1.0, 3.0])
-        sample = gm.evaluate_forcing(gm.ZeroForcing(), y.grid)
-        with pytest.raises(InsufficientDataError):
-            grey.build_grey_regression(y, sample, 0.5)
+        raw = gm.make_series([1.0, 2.0], [1.0, 2.0])
+        with pytest.raises(InsufficientDataError, match="need at least 3 points"):
+            gm.fit_grey(raw, gm.ZeroForcing())
 
 
 class TestFit:

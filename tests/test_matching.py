@@ -4,42 +4,53 @@ import numpy as np
 import pytest
 
 import greymatch as gm
-from greymatch import matching
+from greymatch import grey, matching
 from greymatch.errors import InsufficientDataError
 
 
+def trapezoid_integral(raw):
+    """Rows k = 2..n of the trapezoid integral of x from t_1."""
+    return (gm.integrate_piecewise_linear(raw).values - raw.values[0])[1:]
+
+
 class TestBuildRegression:
+    """fit_matching is grey.integral_regression with the trapezoid integral:
+    x(t_k) ~ A I_k + B (U(t_k) - U(t_1)) [+ c (t_k - t_1)] + eta."""
+
     def test_hand_assembled_constant_series(self):
         # x = (2, 2, 2) on a unit grid: integral column is 2(t_k - t_1)
         raw = gm.make_series([1.0, 2.0, 3.0], [2.0, 2.0, 2.0])
-        sample = gm.evaluate_forcing(gm.ZeroForcing(), raw.grid)
-        design, targets = matching.build_matching_regression(
-            raw, sample, include_constant=False)
-        assert np.allclose(design, [[2.0, 1.0], [4.0, 1.0]])
-        assert np.allclose(targets, [[2.0], [2.0]])
+        assert np.allclose(trapezoid_integral(raw), [[2.0], [4.0]])
+        A, _, rest, _ = grey.integral_regression(raw, np.array([[2.0], [4.0]]),
+                                                 np.zeros((2, 0)))
         model = matching.fit_matching(raw, gm.ZeroForcing(), include_constant=False)
+        assert np.array_equal(model.A, A) and np.array_equal(model.eta, rest[-1])
         assert model.A[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert model.eta[0] == pytest.approx(2.0)
 
     def test_zero_forcing_column_count(self):
         rng = np.random.default_rng(0)
         raw = gm.make_series(np.arange(8.0), np.abs(rng.normal(size=(8, 3))) + 1)
-        sample = gm.evaluate_forcing(gm.ZeroForcing(), raw.grid)
-        design, _ = matching.build_matching_regression(raw, sample,
-                                                       include_constant=False)
-        assert design.shape[1] == raw.d + 1
+        A, B, rest, _ = grey.integral_regression(raw, trapezoid_integral(raw),
+                                                 np.zeros((7, 0)))
+        # d integral columns and the intercept
+        assert A.shape == (raw.d, raw.d) and B.shape == (raw.d, 0)
+        assert rest.shape == (1, raw.d)
+        model = matching.fit_matching(raw, gm.ZeroForcing(), include_constant=False)
+        assert np.array_equal(model.A, A) and np.array_equal(model.eta, rest[0])
 
     def test_constant_column_is_time_shift(self, water_train):
-        sample = gm.evaluate_forcing(gm.ZeroForcing(), water_train.grid)
-        design, _ = matching.build_matching_regression(water_train, sample,
-                                                       include_constant=True)
-        assert np.allclose(design[:, 1], water_train.grid.points[1:] - 1.0)
+        ramp = water_train.grid.points[1:] - 1.0
+        _, _, (c, eta), _ = grey.integral_regression(
+            water_train, trapezoid_integral(water_train), np.zeros((11, 0)), ramp)
+        model = matching.fit_matching(water_train, gm.ZeroForcing(),
+                                      include_constant=True)
+        assert np.array_equal(model.c, c) and np.array_equal(model.eta, eta)
 
     def test_too_few_points(self):
         raw = gm.make_series([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
-        sample = gm.evaluate_forcing(gm.PolynomialForcing(1), raw.grid)
-        with pytest.raises(InsufficientDataError):
-            matching.build_matching_regression(raw, sample)
+        with pytest.raises(InsufficientDataError, match="need at least 5 points"):
+            matching.fit_matching(raw, gm.PolynomialForcing(1))
 
 
 class TestWaterCoefficients:

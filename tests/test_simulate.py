@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import greymatch as gm
-from greymatch import simulate
+from greymatch import cli, repro, simulate
 
 
 def scenario(sim_system, **overrides):
@@ -128,3 +128,34 @@ class TestRunMonteCarlo:
         payload = simulate.summary_to_dict(gm.run_monte_carlo(sc))
         json.dumps(payload)
         assert payload["completed"] == 2
+
+
+class TestStructuralGapRow:
+    """The grey-vs-matching row of the parameter-table reproduction."""
+
+    @staticmethod
+    def printed(capsys, gap):
+        row = repro._structural_gap_row("n=21 snr=5.0", gap)
+        cli._print_report(repro.ReproductionReport("t", [row], row["passed"]), True)
+        return capsys.readouterr().out
+
+    def test_round_off_does_not_change_the_row_text(self, capsys):
+        texts = {self.printed(capsys, gap) for gap in (0.0, 1.77e-14, 9.81e-14, 4e-13)}
+        assert len(texts) == 1
+        assert "diff 0.00e+00 (tol 1.00e-09)" in texts.pop()
+
+    @pytest.mark.parametrize("gap", [1.0000001e-9, 3e-9, float("nan")])
+    def test_gap_above_tolerance_fails(self, capsys, gap):
+        assert not repro._structural_gap_row("n=21 snr=5.0", gap)["passed"]
+        assert "[FAIL]" in self.printed(capsys, gap)
+
+    def test_gap_at_tolerance_passes(self):
+        assert repro._structural_gap_row("n=21 snr=5.0", 1e-9)["passed"]
+
+    def test_summary_keeps_the_unrounded_gap(self, sim_system):
+        summary = gm.run_monte_carlo(scenario(sim_system, snr=2.5, replications=10,
+                                              seed=0))
+        per_rep = summary.per_replication
+        gap = float(np.abs(per_rep["grey_A"] - per_rep["matching_A"]).max())
+        assert 0.0 < gap < 1e-12
+        assert simulate.summary_to_dict(summary)["max_structural_gap"] == gap

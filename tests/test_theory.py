@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import greymatch as gm
 
 from greymatch.errors import DataError
+from tests.conftest import make_stable_system
 
 
 class TestReduceOrder:
@@ -98,6 +101,19 @@ class TestEqualSpacingCorrespondence:
                              [1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         with pytest.raises(DataError):
             gm.check_proposition_equal_spacing(raw)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), d=st.integers(1, 2),
+           n=st.integers(6, 30), h=st.floats(0.05, 0.5))
+    def test_random_stable_systems(self, seed, d, n, h):
+        # noisy samples of x' = A x on an equally spaced grid: the same A
+        # from both pipelines, and eta = c + (1 - h/2) A x(t1)
+        rng = np.random.default_rng(seed)
+        a = make_stable_system(rng, d)
+        t = rng.uniform(-2.0, 2.0) + h * np.arange(n)
+        clean = gm.expm(a * (t - t[0])[:, None, None]) @ rng.normal(2.0, 1.0, size=d)
+        raw = gm.make_series(t, clean + rng.normal(scale=0.1, size=(n, d)))
+        assert gm.check_proposition_equal_spacing(raw).passed
 
 
 class TestReductionRoundTrip:
