@@ -18,13 +18,13 @@ from .basis import (ExogenousForcing, Exosystem, FourierForcing, MixedForcing,
 from .errors import (AlignmentError, CsvFormatError, DataError,
                      GreymatchError, InsufficientDataError, NumericalError,
                      OverflowGuardError, SingularDesignError, StrategyError,
-                     UnsupportedForcingError, ZeroValueError)
+                     ZeroValueError)
 from .grey import (FittedModel, fit_grey, grey_forecast, integral_regression,
                    model_from_dict, model_to_dict, predict_on_grid,
                    select_initial_value, time_response)
 from .matching import fit_matching, matching_forecast
-from .numerics import (LeastSquaresSolution, convolution_integral, expm,
-                       exosystem_response, solve_least_squares)
+from .numerics import (LeastSquaresSolution, expm, exosystem_response,
+                       simpson_integral, solve_least_squares)
 from .series import (ErrorReport, TimeGrid, VectorSeries, cusum,
                      integrate_piecewise_linear, inverse_cusum, make_series,
                      mape, read_csv, write_csv)

@@ -2,12 +2,12 @@
 
 A forcing spec describes the known input entering a linear model
 dz/dt = A z + B u(t) + c.  Polynomial and Fourier bases carry analytic
-antiderivatives and derivatives; exogenous forcing is a sampled series whose
-antiderivative is formed with the trapezoid rule.  Every spec also writes
-itself as an exosystem w' = S w, u = C w, through which time responses are
-propagated exactly.  The constant term is not a basis component: the grey
-pipeline always carries it separately and the matching pipeline attaches it
-explicitly.
+antiderivatives; exogenous forcing is a sampled series whose antiderivative
+is formed with the trapezoid rule.  Every spec also writes itself as an
+exosystem w' = S w, u = C w, through which time responses are propagated
+exactly and from which the derivative u' = C S w is read.  The constant term
+is not a basis component: the grey pipeline always carries it separately and
+the matching pipeline attaches it explicitly.
 """
 
 from dataclasses import dataclass, field
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import AlignmentError, UnsupportedForcingError
+from .errors import AlignmentError
 from .series import TimeGrid, VectorSeries, integrate_piecewise_linear
 
 
@@ -67,9 +67,6 @@ class ZeroForcing:
     def antiderivatives(self, times):
         return np.zeros((len(np.atleast_1d(times)), 0))
 
-    def derivatives(self, times):
-        return np.zeros((len(np.atleast_1d(times)), 0))
-
     def exosystem(self):
         return Exosystem(np.zeros((0, 0)), np.zeros((0, 0)),
                          lambda t, forward=True: np.zeros(0))
@@ -98,12 +95,6 @@ class PolynomialForcing:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         return np.column_stack(
             [t ** (i + 1) / (i + 1) for i in range(1, self.degree + 1)]
-        )
-
-    def derivatives(self, times):
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        return np.column_stack(
-            [i * t ** (i - 1) for i in range(1, self.degree + 1)]
         )
 
     def exosystem(self):
@@ -151,14 +142,6 @@ class FourierForcing:
             cols.append(np.sin(w * t) / w)
         return np.column_stack(cols)
 
-    def derivatives(self, times):
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        cols = []
-        for w in self._omegas():
-            cols.append(w * np.cos(w * t))
-            cols.append(-w * np.sin(w * t))
-        return np.column_stack(cols)
-
     def exosystem(self):
         # Each pair (sin wt, cos wt) turns as w' = [[0, w], [-w, 0]] w.
         rotation = np.kron(np.diag(self._omegas()), [[0.0, 1.0], [-1.0, 0.0]])
@@ -197,12 +180,6 @@ class ExogenousForcing:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         sampled = VectorSeries(TimeGrid(t), self.values(t))
         return integrate_piecewise_linear(sampled).values
-
-    def derivatives(self, times):
-        raise UnsupportedForcingError(
-            "exogenous forcing has no analytic derivative; only the grey "
-            "pipeline applies"
-        )
 
     def exosystem(self):
         # w = (u, du/dt), with du/dt constant between samples: every sample
@@ -243,9 +220,6 @@ class MixedForcing:
 
     def antiderivatives(self, times):
         return np.column_stack([p.antiderivatives(times) for p in self.parts])
-
-    def derivatives(self, times):
-        return np.column_stack([p.derivatives(times) for p in self.parts])
 
     def exosystem(self):
         parts = [p.exosystem() for p in self.parts]

@@ -128,21 +128,31 @@ def cmd_simulate(args):
         return _basis.config_field(payload, key, default, (int,), "an integer",
                                    "scenario")
 
+    def number(key, default):
+        return float(_basis.config_field(payload, key, default, (int, float),
+                                         "a number", "scenario"))
+
+    t_span = _basis.config_field(payload, "t_span", [0.0, 5.0], (list,),
+                                 "a list of two numbers", "scenario")
+    if len(t_span) != 2 or not all(isinstance(v, (int, float))
+                                   and not isinstance(v, bool) for v in t_span):
+        raise ValueError("scenario field 't_span' must be a list of two "
+                         f"numbers, got {t_span!r}")
     scenario = _simulate.SimulationScenario(
         a_matrix=np.array(payload["A"], dtype=float),
         initial_state=np.array(payload["initial_state"], dtype=float),
-        snr=float(payload["snr"]),
+        snr=number("snr", None),
         replications=_given(args.reps, integer("replications", 200)),
         seed=_given(args.seed, integer("seed", 0)),
         forcing=_basis.spec_from_config(payload.get("forcing", {"kind": "zero"})),
         b_matrix=np.array(payload["B"], dtype=float) if "B" in payload else None,
         constant=np.array(payload["constant"], dtype=float)
         if "constant" in payload else None,
-        t_span=tuple(payload.get("t_span", (0.0, 5.0))),
-        step=float(payload.get("step", 0.25)),
+        t_span=tuple(t_span),
+        step=number("step", 0.25),
         horizon=integer("horizon", 10),
-        noise_exponent=float(payload.get("noise_exponent", 2.0)),
-        noise_scale=float(payload.get("noise_scale", 1.10)),
+        noise_exponent=number("noise_exponent", 2.0),
+        noise_scale=number("noise_scale", 1.10),
         include_constant=_basis.config_field(payload, "include_constant", False,
                                               (bool,), "true or false", "scenario"),
     )

@@ -31,10 +31,6 @@ class AlignmentError(DataError):
     """Exogenous forcing series does not cover the requested time points."""
 
 
-class UnsupportedForcingError(DataError):
-    """The forcing specification cannot support the requested operation."""
-
-
 class ZeroValueError(DataError):
     """A percentage error was requested against a zero observation."""
 

@@ -130,17 +130,19 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
 
 def _half_step_forcing_constant(grid, B, spec):
     """The term c~ of the reduced_half_step strategy: B u'(-h/2), the value
-    at t = 0 of B u'(t - h/2) on a grid of common spacing h."""
+    at t = 0 of B u'(t - h/2) on a grid of common spacing h, with
+    u' = C S w read from the forcing's exosystem."""
     if not spec.dimension:
         return np.zeros(B.shape[0])
-    if not spec.exosystem().is_polynomial:
+    exo = spec.exosystem()
+    if not exo.is_polynomial:
         raise StrategyError("reduced_half_step needs polynomial forcing; "
                             f"got {type(spec).__name__}")
     if len(grid) < 2 or not grid.is_uniform():
         raise StrategyError("reduced_half_step needs an equally spaced grid "
                             "of at least two points")
     h = float(grid.points[1] - grid.points[0])
-    return B @ spec.derivatives(np.array([-h / 2.0]))[0]
+    return B @ exo.output @ exo.generator @ exo.state(-h / 2.0)
 
 
 def select_initial_value(y, A, B, c, spec, strategy):
@@ -169,7 +171,7 @@ def select_initial_value(y, A, B, c, spec, strategy):
     if strategy == "fixed_first":
         return y.values[0].copy()
     if strategy in ("reduced_consistent", "reduced_half_step"):
-        rhs = c + (B @ spec.values(np.array([t1]))[0] if spec.dimension else 0.0)
+        rhs = c + B @ spec.values(np.array([t1]))[0]
         if strategy == "reduced_half_step":
             rhs = rhs + _half_step_forcing_constant(y.grid, B, spec)
         eye_minus = np.eye(len(c)) - A

@@ -1,7 +1,7 @@
 """Dense small-matrix utilities: least squares, a batched matrix
 exponential, the exact time response of a linear system driven by an
-exosystem, and a Simpson convolution integral kept as an independent check
-of it.
+exosystem, and a composite Simpson rule with which theory checks that
+response independently.
 
 Everything here works on plain numpy arrays; numpy is the only runtime
 dependency.  Matrices are small (the rest of the package uses d <= 2 state
@@ -155,37 +155,20 @@ def expm(a):
     return out.reshape(a.shape)
 
 
-def convolution_integral(a_matrix, forcing, t_from, t_to, steps):
-    """Composite-Simpson approximation of
-
-        int_{t_from}^{t_to} exp(A (t_from - s)) f(s) ds
-
-    over 2*steps panels.  `forcing` is a callable mapping a time to a
-    d-vector.  Fourth-order accurate in the panel width.
-    """
-    a_matrix = np.asarray(a_matrix, dtype=float)
-    if a_matrix.ndim != 2 or a_matrix.shape[0] != a_matrix.shape[1]:
-        raise ValueError("A must be square")
-    if t_to < t_from:
-        raise ValueError("t_to must be >= t_from")
+def simpson_integral(fn_of_times, a, b, steps):
+    """Composite Simpson approximation of int_a^b f(s) ds over 2*steps
+    panels, fourth-order accurate in the panel width.  fn_of_times maps an
+    array of times to an array of values, one row per time, and is called
+    once on all the nodes."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    d = a_matrix.shape[0]
-    if t_to == t_from:
-        return np.zeros(d)
-
-    panels = 2 * int(steps)
-    nodes = np.linspace(t_from, t_to, panels + 1)
-    delta = (t_to - t_from) / panels
-    # exp(A (t_from - s_j)) = P^j with P = exp(-A delta); iterate powers.
-    step_kernel = expm(-a_matrix * delta)
-    kernel = np.eye(d)
-    weighted = np.zeros(d)
-    for j, s in enumerate(nodes):
-        w = 1.0 if j in (0, panels) else (4.0 if j % 2 else 2.0)
-        weighted += w * (kernel @ np.asarray(forcing(float(s)), dtype=float))
-        kernel = kernel @ step_kernel
-    return weighted * delta / 3.0
+    panels = 2 * steps
+    nodes = np.linspace(a, b, panels + 1)
+    values = fn_of_times(nodes)
+    weights = np.ones(panels + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    return (b - a) / (3.0 * panels) * (weights[:, None] * values).sum(axis=0)
 
 
 def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):

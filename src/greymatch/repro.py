@@ -247,8 +247,7 @@ def _water_coefficient_rows(name, model):
         return rows
     tol = 5e-5 if name == "GPM(1,1,2)" else 5e-4
     mapping = {"a": model.A[0, 0], "eta": model.eta[0]}
-    b = model.B[0] if model.B.size else ()
-    for j, value in enumerate(b, start=1):
+    for j, value in enumerate(model.B[0], start=1):
         mapping[f"b{j}"] = value
     if model.c is not None:
         mapping["c"] = model.c[0]

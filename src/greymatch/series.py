@@ -87,9 +87,6 @@ class VectorSeries:
     def d(self):
         return self.values.shape[1]
 
-    def component(self, index):
-        return self.values[:, index]
-
     def head(self, count):
         return VectorSeries(TimeGrid(self.grid.points[:count]), self.values[:count])
 

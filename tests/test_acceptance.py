@@ -260,8 +260,8 @@ def test_criterion_10_numerics_substrate():
         exact = (1.0 - np.exp(0.5)) / a
 
         def quadrature_error(steps):
-            got = gm.convolution_integral(np.array([[a]]), lambda t: np.ones(1),
-                                          0.0, 2.0, steps)
+            got = gm.simpson_integral(lambda s: np.exp(-a * s)[:, None],
+                                      0.0, 2.0, steps)
             return abs(got[0] - exact)
 
         assert quadrature_error(64) < 1e-8

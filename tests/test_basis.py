@@ -3,7 +3,27 @@ import pytest
 
 import greymatch as gm
 from greymatch import basis
-from greymatch.errors import AlignmentError, UnsupportedForcingError
+from greymatch.errors import AlignmentError
+
+
+def analytic_derivative(spec, t):
+    """u'(t) written out by hand: i t^(i-1) for the monomial t^i and
+    (w cos wt, -w sin wt) for the pair (sin wt, cos wt)."""
+    if isinstance(spec, gm.PolynomialForcing):
+        return np.array([i * t ** (i - 1) for i in range(1, spec.degree + 1)])
+    if isinstance(spec, gm.FourierForcing):
+        out = []
+        for i in range(1, spec.pairs + 1):
+            w = 2.0 * i * np.pi * spec.frequency
+            out += [w * np.cos(w * t), -w * np.sin(w * t)]
+        return np.array(out)
+    return np.concatenate([analytic_derivative(p, t) for p in spec.parts])
+
+
+def exosystem_derivative(spec, t):
+    """u'(t) = C S w(t), read from the spec's exosystem w' = S w, u = C w."""
+    exo = spec.exosystem()
+    return exo.output @ exo.generator @ exo.state(t)
 
 
 class TestEvaluate:
@@ -27,15 +47,33 @@ class TestEvaluate:
 
     def test_fourier_derivatives(self):
         spec = gm.FourierForcing(pairs=1, frequency=0.25)
-        got = spec.derivatives(np.array([0.0]))
-        assert np.allclose(got, [[np.pi / 2, 0.0]], atol=1e-15)
+        got = exosystem_derivative(spec, 0.0)
+        assert np.allclose(got, [np.pi / 2, 0.0], atol=1e-15)
 
     def test_polynomial_derivatives(self):
         spec = gm.PolynomialForcing(2)
-        assert np.allclose(spec.derivatives(np.array([3.0])), [[1.0, 6.0]])
+        assert np.allclose(exosystem_derivative(spec, 3.0), [1.0, 6.0])
 
     def test_zero_derivative_empty(self):
-        assert gm.ZeroForcing().derivatives(np.arange(4.0)).shape == (4, 0)
+        for t in np.arange(4.0):
+            assert exosystem_derivative(gm.ZeroForcing(), t).shape == (0,)
+
+
+class TestExosystemDerivative:
+    @pytest.mark.parametrize("spec", [
+        *(gm.PolynomialForcing(k) for k in range(1, 6)),
+        gm.FourierForcing(pairs=3, frequency=0.17),
+        basis.MixedForcing((gm.PolynomialForcing(4),
+                            gm.FourierForcing(pairs=2, frequency=0.5))),
+    ])
+    def test_matches_analytic_derivative(self, spec):
+        # the grid half-steps -h/2 of reduced_half_step and times up to 12
+        times = np.concatenate([-np.geomspace(0.005, 1.5, 9), [0.0],
+                                np.linspace(0.1, 12.0, 17)])
+        for t in times:
+            got = exosystem_derivative(spec, t)
+            want = analytic_derivative(spec, t)
+            assert (np.abs(got - want) <= 1e-15 * np.abs(want)).all(), (t, got, want)
 
 
 class TestAntiderivatives:
@@ -83,11 +121,6 @@ class TestExogenous:
         U = spec.antiderivatives(t)
         manual = gm.integrate_piecewise_linear(gm.make_series(t, np.sin(t))).values
         assert np.allclose(U, manual)
-
-    def test_derivative_unsupported(self):
-        spec = self.make_spec()
-        with pytest.raises(UnsupportedForcingError):
-            spec.derivatives(np.array([1.0]))
 
     def test_exosystem_interpolates(self):
         spec = self.make_spec()

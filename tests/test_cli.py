@@ -306,6 +306,14 @@ class TestSimulate:
         ("replications", True),
         ("seed", "4"),
         ("horizon", 10.5),
+        ("snr", True),
+        ("snr", "5.0"),
+        ("step", "0.25"),
+        ("noise_exponent", False),
+        ("noise_scale", "1.1"),
+        ("t_span", [0.0]),
+        ("t_span", "0, 5"),
+        ("t_span", [0.0, "5.0"]),
     ])
     def test_wrongly_typed_scenario_is_a_usage_error(self, capsys, tmp_path,
                                                      field, value):

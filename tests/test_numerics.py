@@ -160,23 +160,27 @@ class TestExpm:
 
 
 class TestConvolutionIntegral:
+    """numerics.simpson_integral on convolution integrals
+    int_{t0}^{t1} exp(A (t0 - s)) f(s) ds with closed forms."""
+
     def test_zero_integrand(self):
-        out = numerics.convolution_integral(np.eye(2), lambda t: np.zeros(2),
-                                            0.0, 3.0, steps=8)
+        out = numerics.simpson_integral(lambda s: np.zeros((len(s), 2)),
+                                        0.0, 3.0, steps=8)
+        assert out.shape == (2,)
         assert np.allclose(out, 0.0, atol=1e-14)
 
     def test_plain_integral_when_a_zero(self):
         c = np.array([2.0, -1.0])
-        out = numerics.convolution_integral(np.zeros((2, 2)), lambda t: c,
-                                            1.0, 4.0, steps=16)
+        out = numerics.simpson_integral(lambda s: np.tile(c, (len(s), 1)),
+                                        1.0, 4.0, steps=16)
         assert np.allclose(out, 3.0 * c, atol=1e-12)
 
     def test_scalar_closed_form(self):
         # int_0^2 exp(-a s) ds = (1 - e^{-2a}) / a with a = -0.25
         a = -0.25
         exact = (1.0 - np.exp(0.5)) / a
-        out = numerics.convolution_integral(np.array([[a]]), lambda t: np.ones(1),
-                                            0.0, 2.0, steps=64)
+        out = numerics.simpson_integral(lambda s: np.exp(-a * s)[:, None],
+                                        0.0, 2.0, steps=64)
         assert abs(out[0] - exact) < 1e-8
 
     def test_fourth_order_convergence(self):
@@ -184,12 +188,16 @@ class TestConvolutionIntegral:
         exact = (1.0 - np.exp(0.5)) / a
 
         def err(steps):
-            out = numerics.convolution_integral(np.array([[a]]),
-                                                lambda t: np.ones(1), 0.0, 2.0, steps)
+            out = numerics.simpson_integral(lambda s: np.exp(-a * s)[:, None],
+                                            0.0, 2.0, steps)
             return abs(out[0] - exact)
 
         assert err(2) / err(4) >= 8.0
         assert err(4) / err(8) >= 8.0
+
+    def test_rejects_no_steps(self):
+        with pytest.raises(ValueError):
+            numerics.simpson_integral(lambda s: np.ones((len(s), 1)), 0.0, 1.0, 0)
 
 
 def polynomial_response(a, coeffs, eta, t1, times):
