@@ -20,9 +20,9 @@ from .errors import (AlignmentError, CsvFormatError, DataError,
                      OverflowGuardError, SingularDesignError, StrategyError,
                      ZeroValueError)
 from .grey import (FittedModel, fit_grey, grey_forecast, integral_regression,
-                   model_from_dict, model_to_dict, predict_on_grid,
+                   model_from_dict, model_to_dict, predict_on_grid, read_config,
                    select_initial_value, time_response)
-from .matching import fit_matching, matching_forecast
+from .matching import fit_config, fit_matching, matching_forecast
 from .numerics import (LeastSquaresSolution, expm, exosystem_response,
                        simpson_integral, solve_least_squares)
 from .series import (ErrorReport, TimeGrid, VectorSeries, cusum,

@@ -67,20 +67,7 @@ def cmd_fit(args):
     config = _load_json(args.model)
     data = _series.read_csv(args.input)
     split = _split_index(args, data.n)
-    train = data.head(split)
-    spec = _basis.spec_from_config(config.get("forcing", {"kind": "zero"}))
-    kind = config.get("model", "matching")
-    if kind == "grey":
-        lam = _basis.config_field(config, "lambda", 0.5, (int, float), "a number")
-        model = _grey.fit_grey(train, spec,
-                               strategy=config.get("strategy", "fixed_first"),
-                               background_lambda=lam)
-    elif kind == "matching":
-        model = _matching.fit_matching(train, spec, include_constant=_basis.config_field(
-            config, "include_constant", True, (bool,), "true or false"))
-    else:
-        raise ValueError(f"unknown model kind {config.get('model')!r}")
-
+    model = _matching.fit_config(data.head(split), config)
     payload = _grey.model_to_dict(model)
     predictions = _grey.predict_on_grid(model, data.grid)
     report = _series.mape(data, predictions, split)
@@ -175,8 +162,7 @@ def cmd_simulate(args):
 def cmd_verify(args):
     if args.check == "translation":
         data = _series.read_csv(args.input)
-        spec = _basis.spec_from_config(_load_json(args.model)["forcing"]) \
-            if args.model else _basis.ZeroForcing()
+        spec = _grey.read_config(_load_json(args.model) if args.model else {})[1]
         shift = np.full(data.d, args.shift)
         report = _theory.check_translation_invariance(
             data, spec, shift=shift,

@@ -81,6 +81,35 @@ def integral_regression(raw, integral, forcing, ramp=None):
     return stacked[:d].T, stacked[d:d + p].T, stacked[d + p:], solution.residual_norm
 
 
+def _check_grey_options(strategy, background_lambda):
+    """ValueError unless strategy names an initial-value rule and
+    background_lambda lies in [0, 1]."""
+    if strategy not in INITIAL_STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {INITIAL_STRATEGIES}")
+    if not 0.0 <= background_lambda <= 1.0:
+        raise ValueError("background_lambda must lie in [0, 1]")
+
+
+def read_config(config):
+    """(pipeline, forcing spec, fit keyword options) from a fit config or a
+    fitted-model header.  Absent keys default to model "matching", forcing
+    zero, strategy "fixed_first", lambda (background_lambda) 0.5 and
+    include_constant true; other keys are ignored.  ValueError names a
+    wrong field."""
+    pipeline = config.get("model", "matching")
+    if pipeline not in PIPELINES:
+        raise ValueError(f"unknown model kind {pipeline!r}")
+    spec = _basis.spec_from_config(config.get("forcing", {"kind": "zero"}))
+    if pipeline == "matching":
+        return pipeline, spec, {"include_constant": _basis.config_field(
+            config, "include_constant", True, (bool,), "true or false")}
+    options = {"strategy": config.get("strategy", "fixed_first"),
+               "background_lambda": float(_basis.config_field(
+                   config, "lambda", 0.5, (int, float), "a number"))}
+    _check_grey_options(**options)
+    return pipeline, spec, options
+
+
 def fit_grey(raw, spec, strategy="fixed_first", background_lambda=0.5):
     """Fit the grey model to a raw series (the cusum happens internally).
 
@@ -90,10 +119,7 @@ def fit_grey(raw, spec, strategy="fixed_first", background_lambda=0.5):
     weights the earlier point of each interval; 0.5 is the trapezoid rule
     used throughout the literature.
     """
-    if strategy not in INITIAL_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; choose from {INITIAL_STRATEGIES}")
-    if not 0.0 <= background_lambda <= 1.0:
-        raise ValueError("background_lambda must lie in [0, 1]")
+    _check_grey_options(strategy, background_lambda)
     lam = background_lambda
     y = _series.cusum(raw)
     u = spec.values(y.grid.points)
@@ -245,13 +271,23 @@ def model_to_dict(model):
     return payload
 
 
+def _json_numbers(value):
+    """Whether value is a JSON number or nested lists of them; true and
+    false do not count as numbers."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_json_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _checked_array(key, value, shape=None):
     """A model-file field as a float array of the given shape (any shape
     when None) with finite entries; DataError names the field otherwise."""
     try:
         array = np.array(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"model field {key!r} is not numeric") from exc
+    except (TypeError, ValueError):  # a non-number or ragged nesting
+        array = None
+    if array is None or not _json_numbers(value):
+        raise DataError(f"model field {key!r} is not numeric")
     if shape is not None and array.shape != shape:
         raise DataError(f"model field {key!r} has shape {array.shape}; "
                         f"expected {shape}")
@@ -263,22 +299,23 @@ def _checked_array(key, value, shape=None):
 def model_from_dict(payload):
     """Inverse of model_to_dict for either pipeline.
 
-    Raises DataError, naming the field, unless A is a square d x d matrix,
-    B is d x (forcing dimension), eta and c have length d, c is present for
-    a grey model, and every value is finite.  Payloads that still carry the
-    retired quadrature_steps_per_unit key load; the key is ignored.
+    read_config reads the header as it reads a fit config, but model and
+    forcing must be present.  Raises DataError, naming the field, unless A
+    is a square d x d matrix, B is d x (forcing dimension), eta and c have
+    length d, c is present for a grey model, and every value is a finite
+    JSON number.  Unknown keys (quadrature_steps_per_unit) are ignored.
     """
-    pipeline = payload.get("model")
-    if pipeline not in PIPELINES:
-        raise ValueError(f"model file has unknown kind {pipeline!r}")
-    spec = _basis.spec_from_config(payload["forcing"])
+    if missing := {"model", "forcing"} - payload.keys():
+        raise ValueError(f"model file lacks the {min(missing)!r} field")
+    pipeline, spec, options = read_config(payload)
     A = _checked_array("A", payload["A"])
     if A.ndim != 2 or A.shape[0] != A.shape[1] or not A.size:
         raise DataError(f"model field 'A' has shape {A.shape}; expected a "
                         "nonempty square matrix")
     d = A.shape[0]
-    grey = pipeline == "grey"
-    if grey and "c" not in payload:
+    if _checked_array("d", payload.get("d", d), ()) != d:
+        raise DataError(f"model field 'd' is {payload['d']!r}; A is {d} x {d}")
+    if pipeline == "grey" and "c" not in payload:
         raise DataError("model field 'c' is missing; a grey model carries "
                         "a constant")
     return FittedModel(
@@ -291,7 +328,6 @@ def model_from_dict(payload):
         pipeline=pipeline,
         residual_norm=float(_checked_array(
             "residual_norm", payload.get("residual_norm", 0.0), ())),
-        strategy=payload["strategy"] if grey else None,
-        background_lambda=float(_checked_array(
-            "lambda", payload.get("lambda", 0.5), ())) if grey else None,
+        strategy=options.get("strategy"),
+        background_lambda=options.get("background_lambda"),
     )

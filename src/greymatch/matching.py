@@ -10,7 +10,8 @@ ramp t_k - t_1.  The intercept estimates x(t_1).
 """
 
 from . import series as _series
-from .grey import FittedModel, integral_regression, predict_on_grid, time_response
+from .grey import (FittedModel, fit_grey, integral_regression, predict_on_grid,
+                   read_config, time_response)
 
 # bench/workloads.py calls the response by this name.
 matching_time_response = time_response
@@ -26,6 +27,13 @@ def fit_matching(raw, spec, include_constant=True):
         raw, integral[1:], U[1:] - U[0], t[1:] - t[0] if include_constant else None)
     c = rest[0] if include_constant else None
     return FittedModel(A, B, c, rest[-1], spec, float(t[0]), "matching", residual)
+
+
+def fit_config(raw, config):
+    """Fit the model a config describes (see grey.read_config) to a raw
+    series, by the pipeline its "model" key names."""
+    pipeline, spec, options = read_config(config)
+    return (fit_grey if pipeline == "grey" else fit_matching)(raw, spec, **options)
 
 
 def matching_forecast(raw, spec, horizon=0, include_constant=True, model=None):

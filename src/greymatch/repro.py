@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import basis as _basis
 from . import grey as _grey
 from . import matching as _matching
 from . import series as _series
@@ -25,9 +24,19 @@ WATER_VALUES = (17.20, 21.96, 22.70, 25.70, 28.74, 31.16, 33.12, 44.80,
 WATER_SPLIT = 12          # 2004-2015 fit, 2016-2018 holdout
 WATER_FORECAST_YEARS = tuple(range(2004, 2021))   # through 2020
 
-# Model ladder: matching models of increasing polynomial degree, plus the
-# grey counterpart of the degree-1 matching model.
-WATER_MODELS = ("IMDE1", "IMDE2", "IMDE3", "IMDE4", "IMDE5", "GPM(1,1,2)")
+# Model ladder, as the configs `greymatch fit` takes: matching models of
+# increasing polynomial degree, plus the grey counterpart of the degree-1
+# matching model.
+WATER_CONFIGS = {
+    "IMDE1": {"model": "matching", "include_constant": False},
+    "IMDE2": {"model": "matching"},
+    "IMDE3": {"model": "matching", "forcing": {"kind": "polynomial", "degree": 1}},
+    "IMDE4": {"model": "matching", "forcing": {"kind": "polynomial", "degree": 2}},
+    "IMDE5": {"model": "matching", "forcing": {"kind": "polynomial", "degree": 3}},
+    "GPM(1,1,2)": {"model": "grey", "forcing": {"kind": "polynomial", "degree": 2},
+                   "strategy": "reduced_half_step"},
+}
+WATER_MODELS = tuple(WATER_CONFIGS)
 
 # Reference results for the ladder: fitted values 2004-2015, holdout
 # forecasts 2016-2018, extrapolations 2019-2020, per-year APEs (percent)
@@ -87,13 +96,14 @@ REFERENCE_COEFFICIENTS = {
                    "eta": 21.5509},
 }
 
-# Reference closed-form time responses (x(t) = slope*t + const + coef*e^(a t)
-# for IMDE3; y(t) = quad*t^2 + lin*t + const + coef*e^(a t) for the grey
-# quadratic model).
+# Reference closed-form time responses, x(t) = slope*t + constant +
+# exp_coeff*e^(a t) for IMDE3 and y(t) = quad*t^2 + lin*t + constant +
+# exp_coeff*e^(a t) for the grey quadratic model; the polynomial terms are
+# listed from the highest power down.
 REFERENCE_RESPONSES = {
-    "IMDE3": {"slope": 16.8847, "exp_coeff": 377.1157, "constant": -356.2318},
-    "GPM(1,1,2)": {"quad": 8.4424, "lin": -347.7895, "exp_coeff": -8046.2287,
-                   "constant": 8047.0682},
+    "IMDE3": {"slope": 16.8847, "constant": -356.2318, "exp_coeff": 377.1157},
+    "GPM(1,1,2)": {"quad": 8.4424, "lin": -347.7895, "constant": 8047.0682,
+                   "exp_coeff": -8046.2287},
 }
 
 # Context only: headline scores of generic forecasting baselines on the same
@@ -173,35 +183,15 @@ def water_series(split=None):
 
 
 def water_full_series():
-    t = np.arange(1, len(WATER_VALUES) + 1, dtype=float)
-    return _series.make_series(t, np.array(WATER_VALUES))
-
-
-def water_model_definition(name):
-    """(pipeline, forcing spec, options) for one ladder entry."""
-    if name == "IMDE1":
-        return "matching", _basis.ZeroForcing(), {"include_constant": False}
-    if name == "IMDE2":
-        return "matching", _basis.ZeroForcing(), {"include_constant": True}
-    if name == "IMDE3":
-        return "matching", _basis.PolynomialForcing(1), {"include_constant": True}
-    if name == "IMDE4":
-        return "matching", _basis.PolynomialForcing(2), {"include_constant": True}
-    if name == "IMDE5":
-        return "matching", _basis.PolynomialForcing(3), {"include_constant": True}
-    if name == "GPM(1,1,2)":
-        return "grey", _basis.PolynomialForcing(2), {"strategy": "reduced_half_step"}
-    raise ValueError(f"unknown water model {name!r}")
+    return water_series(len(WATER_VALUES))
 
 
 def fit_water_model(name):
     """Fit one ladder entry on the 2004-2015 window; returns (model, series
     of predictions for 2004-2020)."""
-    pipeline, spec, options = water_model_definition(name)
     train = water_series()
     horizon = len(WATER_FORECAST_YEARS) - WATER_SPLIT
-    fit = _matching.fit_matching if pipeline == "matching" else _grey.fit_grey
-    model = fit(train, spec, **options)
+    model = _matching.fit_config(train, WATER_CONFIGS[name])
     return model, _grey.predict_on_grid(model, train.grid.extended(horizon))
 
 
@@ -241,44 +231,23 @@ def _structural_gap_row(label, gap):
 
 
 def _water_coefficient_rows(name, model):
-    rows = []
-    refs = REFERENCE_COEFFICIENTS.get(name)
-    if not refs:
-        return rows
     tol = 5e-5 if name == "GPM(1,1,2)" else 5e-4
-    mapping = {"a": model.A[0, 0], "eta": model.eta[0]}
-    for j, value in enumerate(model.B[0], start=1):
-        mapping[f"b{j}"] = value
+    mapping = {"a": model.A[0, 0], "eta": model.eta[0],
+               **{f"b{j}": value for j, value in enumerate(model.B[0], start=1)}}
     if model.c is not None:
         mapping["c"] = model.c[0]
-    for key, ref in refs.items():
-        rows.append(_row(name, f"coeff {key}", mapping[key], ref, tol))
-    return rows
+    return [_row(name, f"coeff {key}", mapping[key], ref, tol)
+            for key, ref in REFERENCE_COEFFICIENTS.get(name, {}).items()]
 
 
 def _water_response_rows(name, model):
-    rows = []
     refs = REFERENCE_RESPONSES.get(name)
     if not refs:
-        return rows
-    tol = 5e-3
-    if name == "IMDE3":
-        poly, exp_coeff = _theory.scalar_closed_form(
-            model.A[0, 0], [model.c[0], model.B[0, 0]], model.eta[0], t1=1.0
-        )
-        rows.append(_row(name, "response slope", poly[1], refs["slope"], tol))
-        rows.append(_row(name, "response constant", poly[0], refs["constant"], tol))
-        rows.append(_row(name, "response exp_coeff", exp_coeff, refs["exp_coeff"], tol))
-    else:
-        poly, exp_coeff = _theory.scalar_closed_form(
-            model.A[0, 0], [model.c[0], model.B[0, 0], model.B[0, 1]],
-            model.eta[0], t1=1.0,
-        )
-        rows.append(_row(name, "response quad", poly[2], refs["quad"], tol))
-        rows.append(_row(name, "response lin", poly[1], refs["lin"], tol))
-        rows.append(_row(name, "response constant", poly[0], refs["constant"], tol))
-        rows.append(_row(name, "response exp_coeff", exp_coeff, refs["exp_coeff"], tol))
-    return rows
+        return []
+    poly, exp_coeff = _theory.scalar_closed_form(
+        model.A[0, 0], [model.c[0], *model.B[0]], model.eta[0], t1=1.0)
+    return [_row(name, f"response {key}", value, refs[key], 5e-3)
+            for key, value in zip(refs, [*poly[::-1], exp_coeff], strict=True)]
 
 
 def reproduce_water(tolerance_value=0.01, tolerance_pct=0.05):

@@ -224,6 +224,11 @@ class TestForecast:
         ("grey", {"c": None}, "c"),
         ("grey", {"c": [float("nan")]}, "c"),
         ("grey", {"eta": "one"}, "eta"),
+        ("grey", {"eta": ["2.5"]}, "eta"),
+        ("grey", {"eta": [True]}, "eta"),
+        ("matching", {"A": [["0.1"]]}, "A"),
+        ("matching", {"t1": False}, "t1"),
+        ("matching", {"d": 7}, "d"),
     ])
     def test_invalid_model_file_is_a_data_error(self, capsys, tmp_path, water_csv,
                                                 pipeline, change, field):
@@ -236,6 +241,30 @@ class TestForecast:
         err = json.loads(stderr)
         assert err["error"] == "DataError"
         assert f"'{field}'" in err["message"]
+
+    # A None value deletes the key.
+    @pytest.mark.parametrize("change, named", [
+        ({"strategy": "bogus"}, "strategy"),
+        ({"strategy": 5}, "strategy"),
+        ({"lambda": "0.5"}, "'lambda'"),
+        ({"lambda": True}, "'lambda'"),
+        ({"lambda": 1.5}, "background_lambda"),
+        ({"model": None}, "'model'"),
+    ], ids=["strategy-unknown", "strategy-int", "lambda-string", "lambda-bool",
+            "lambda-outside", "model-missing"])
+    def test_wrong_header_is_a_usage_error_as_in_fit(self, capsys, tmp_path,
+                                                     water_csv, change, named):
+        payload = {**self.VALID["grey"], **change}
+        fitted = tmp_path / "fitted.json"
+        fitted.write_text(json.dumps({k: v for k, v in payload.items()
+                                      if v is not None}))
+        code, stdout, stderr = run_cli(capsys, "forecast", "--model", str(fitted),
+                                       "--input", str(water_csv))
+        assert code == cli.EXIT_USAGE
+        assert stdout == ""
+        err = json.loads(stderr)
+        assert err["error"] == "ValueError"
+        assert named in err["message"]
 
     def test_grey_model_file_without_constant_is_a_data_error(
             self, capsys, tmp_path, water_csv):
@@ -265,6 +294,25 @@ class TestForecast:
                                   "--input", str(data))
         assert code == cli.EXIT_NUMERICAL
         assert json.loads(stderr)["error"] == "OverflowGuardError"
+
+
+@pytest.mark.parametrize("name", repro.WATER_MODELS)
+def test_water_ladder_config_fits_as_the_reproduction(capsys, tmp_path, name):
+    # each ladder entry, written as a config file, through fit and forecast
+    model, predictions = repro.fit_water_model(name)
+    files = {key: tmp_path / key for key in ("train.csv", "config.json",
+                                             "fitted.json", "forecast.csv")}
+    gm.write_csv(files["train.csv"], repro.water_series())
+    files["config.json"].write_text(json.dumps(repro.WATER_CONFIGS[name]))
+    assert run_cli(capsys, "fit", "--input", str(files["train.csv"]), "--model",
+                   str(files["config.json"]), "--split", "12",
+                   "--output", str(files["fitted.json"]))[0] == cli.EXIT_OK
+    assert json.loads(files["fitted.json"].read_text()) == gm.model_to_dict(model)
+    assert run_cli(capsys, "forecast", "--model", str(files["fitted.json"]),
+                   "--input", str(files["train.csv"]), "--horizon", "5",
+                   "--output", str(files["forecast.csv"]))[0] == cli.EXIT_OK
+    got = gm.read_csv(files["forecast.csv"])
+    assert np.array_equal(got.values, predictions.values)
 
 
 class TestSimulate:

@@ -313,6 +313,44 @@ class TestSerialization:
             assert back.background_lambda == 0.5
 
 
+class TestReadConfig:
+    def test_defaults(self):
+        assert gm.read_config({}) == ("matching", gm.ZeroForcing(),
+                                      {"include_constant": True})
+        assert gm.read_config({"model": "grey"}) == (
+            "grey", gm.ZeroForcing(),
+            {"strategy": "fixed_first", "background_lambda": 0.5})
+
+    def test_keys_of_the_other_pipeline_are_ignored(self):
+        pipeline, spec, options = gm.read_config(
+            {"model": "matching", "forcing": {"kind": "polynomial", "degree": 1},
+             "strategy": "bogus", "lambda": "x", "include_constant": False})
+        assert (pipeline, spec, options) == (
+            "matching", gm.PolynomialForcing(1), {"include_constant": False})
+        assert gm.read_config({"model": "grey", "include_constant": "no"})[2] == {
+            "strategy": "fixed_first", "background_lambda": 0.5}
+
+    @pytest.mark.parametrize("config, named", [
+        ({"model": "arima"}, "model"),
+        ({"model": "grey", "strategy": "bogus"}, "strategy"),
+        ({"model": "grey", "lambda": -0.1}, "background_lambda"),
+        ({"model": "grey", "lambda": False}, "'lambda'"),
+        ({"include_constant": 1}, "'include_constant'"),
+    ])
+    def test_wrong_field_is_named(self, config, named):
+        with pytest.raises(ValueError, match=named):
+            gm.read_config(config)
+
+    def test_fit_config_dispatches_on_the_pipeline(self, water_train):
+        config = {"model": "grey", "forcing": {"kind": "polynomial", "degree": 2},
+                  "strategy": "least_squares", "lambda": 0.4}
+        got = gm.fit_config(water_train, config)
+        want = gm.fit_grey(water_train, gm.PolynomialForcing(2),
+                           strategy="least_squares", background_lambda=0.4)
+        assert np.array_equal(got.eta, want.eta) and np.array_equal(got.A, want.A)
+        assert (got.strategy, got.background_lambda) == ("least_squares", 0.4)
+
+
 class TestTranslationInvariance:
     def test_shift_moves_only_the_constant(self, positive_series_factory):
         # The invariance covers the anchored and least-squares strategies;
