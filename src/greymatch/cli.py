@@ -162,12 +162,15 @@ def cmd_simulate(args):
 def cmd_verify(args):
     if args.check == "translation":
         data = _series.read_csv(args.input)
-        spec = _grey.read_config(_load_json(args.model) if args.model else {})[1]
+        # the check fits the grey pipeline with the config's forcing,
+        # strategy and lambda, whatever pipeline the config names
+        config = _load_json(args.model) if args.model else {}
+        _, spec, options = _grey.read_config({**config, "model": "grey"})
         shift = np.full(data.d, args.shift)
         report = _theory.check_translation_invariance(
             data, spec, shift=shift,
             tol_params=_given(args.tolerance, 1e-9),
-            tol_values=_given(args.value_tolerance, 1e-8))
+            tol_values=_given(args.value_tolerance, 1e-8), **options)
     elif args.check == "proposition1":
         data = _series.read_csv(args.input)
         report = _theory.check_proposition_equal_spacing(
@@ -262,7 +265,8 @@ def build_parser():
     ver.add_argument("--check", required=True,
                      choices=["translation", "proposition1", "reduction"])
     ver.add_argument("--input", help="CSV data (translation/proposition1)")
-    ver.add_argument("--model", help="model config JSON (translation)")
+    ver.add_argument("--model", help="model config JSON (translation): its "
+                     "forcing, strategy and lambda")
     ver.add_argument("--shift", type=float, default=5.0)
     ver.add_argument("--seed", type=int, default=0)
     ver.add_argument("--tolerance", type=float,

@@ -8,6 +8,11 @@ intercept.  The grey pipeline's integral is the background value of the
 cusum; integral matching (matching.py) uses the trapezoid integral.  The
 fitted-model record, its time response, its predictions and its JSON form
 live here too and serve both pipelines.
+
+Fits, initial values, responses and predictions take a stack of series
+(VectorSeries values (R, n, d)) as well as a single one: every fitted field
+then gains the leading replication axis, and each slice gets the numbers it
+gets alone.  A slice that fails is reported through errors.fail.
 """
 
 from dataclasses import dataclass
@@ -18,7 +23,7 @@ from . import basis as _basis
 from . import numerics as _numerics
 from . import series as _series
 from .errors import (DataError, InsufficientDataError, OverflowGuardError,
-                     StrategyError)
+                     StrategyError, fail)
 
 INITIAL_STRATEGIES = ("fixed_first", "fixed_last", "least_squares",
                       "reduced_consistent", "reduced_half_step")
@@ -37,7 +42,8 @@ class FittedModel:
     model without a constant term.  strategy (the initial-value rule) and
     background_lambda (the weight of the earlier point of each interval in
     the background-value blend) record how a grey fit was made; they are
-    None on matching fits.
+    None on matching fits.  A fit of a stack of series holds one model per
+    slice: A (R, d, d), eta (R, d), ... and residual_norm (R,).
     """
 
     A: np.ndarray
@@ -53,7 +59,7 @@ class FittedModel:
 
     @property
     def d(self):
-        return self.A.shape[0]
+        return self.A.shape[-1]
 
 
 def integral_regression(raw, integral, forcing, ramp=None):
@@ -65,20 +71,28 @@ def integral_regression(raw, integral, forcing, ramp=None):
     each).  The cusum is a discrete form of the integral operator, so the
     two pipelines differ only in these arguments.
     Returns (A, B, rest, residual_norm), where rest holds the coefficient
-    rows after B: the ramp's (when given), then the intercept's.
+    rows after B: the ramp's (when given), then the intercept's.  For a
+    stack of series (integral (R, n - 1, d), forcing and ramp shared or
+    stacked alike) each of them gains the leading axis.
     """
     x = raw.values
-    n, d = x.shape
-    p = forcing.shape[1]
-    ramp = [] if ramp is None else [ramp[:, None]]
-    design = np.column_stack([integral, forcing, *ramp, np.ones((n - 1, 1))])
-    if n - 1 < design.shape[1]:
+    n, d = x.shape[-2:]
+    p = forcing.shape[-1]
+    cols = d + p + (ramp is not None) + 1
+    if n - 1 < cols:
         raise InsufficientDataError(
-            f"need at least {design.shape[1] + 1} points for this model; got {n}"
+            f"need at least {cols + 1} points for this model; got {n}"
         )
-    solution = _numerics.solve_least_squares(design, x[1:])
-    stacked = solution.coefficients  # rows: A^T | B^T | rest
-    return stacked[:d].T, stacked[d:d + p].T, stacked[d + p:], solution.residual_norm
+    # columns: integral | forcing | ramp (when given) | intercept
+    design = np.ones(x.shape[:-2] + (n - 1, cols))
+    design[..., :d] = integral
+    design[..., d:d + p] = forcing
+    if ramp is not None:
+        design[..., -2] = ramp
+    solution = _numerics.solve_least_squares(design, x[..., 1:, :])
+    stacked = solution.coefficients.swapaxes(-1, -2)  # columns: A | B | rest^T
+    return (stacked[..., :d], stacked[..., d:d + p],
+            stacked[..., d + p:].swapaxes(-1, -2), solution.residual_norm)
 
 
 def _check_grey_options(strategy, background_lambda):
@@ -123,9 +137,10 @@ def fit_grey(raw, spec, strategy="fixed_first", background_lambda=0.5):
     lam = background_lambda
     y = _series.cusum(raw)
     u = spec.values(y.grid.points)
-    A, B, (c,), residual = integral_regression(
-        raw, lam * y.values[:-1] + (1.0 - lam) * y.values[1:],
+    A, B, rest, residual = integral_regression(
+        raw, lam * y.values[..., :-1, :] + (1.0 - lam) * y.values[..., 1:, :],
         lam * u[:-1] + (1.0 - lam) * u[1:])
+    c = rest[..., 0, :]
     eta = select_initial_value(y, A, B, c, spec, strategy)
     return FittedModel(A, B, c, eta, spec, float(y.grid.points[0]), "grey",
                        residual, strategy, background_lambda)
@@ -137,21 +152,32 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
     The forcing spec is written as its exosystem and marched exactly with
     the state (numerics.exosystem_response) for every forcing kind; times
     before t1 march backward.  Pass constant=None for a model without c.
-    Raises OverflowGuardError when |A|_2 times the largest |t - t1| exceeds
-    RESPONSE_NORM_BUDGET, and AlignmentError at times outside the sample
-    range of exogenous forcing.
+    A stack of systems (a_matrix (R, d, d), eta (R, d), ...) gives values
+    (R, len(times), d).  Fails with OverflowGuardError when |A|_2 times the
+    largest |t - t1| exceeds RESPONSE_NORM_BUDGET (a refused slice of a stack
+    marches with A = 0), and raises AlignmentError at times outside the
+    sample range of exogenous forcing.
     """
     times = np.asarray(times, dtype=float)
-    span = float(np.max(np.abs(times - t1), initial=0.0))
-    norm = float(np.linalg.norm(a_matrix, 2)) if a_matrix.size else 0.0
-    if norm * span > RESPONSE_NORM_BUDGET:
-        raise OverflowGuardError(
-            f"|A| * span = {norm * span:.1f} exceeds the stability budget "
-            f"{RESPONSE_NORM_BUDGET}; refusing to exponentiate"
-        )
+    load = _guard_load(a_matrix, t1, times)
+    refused = load > RESPONSE_NORM_BUDGET
+    if refused.any():
+        fail(refused, OverflowGuardError,
+             f"|A| * span = {np.max(load):.1f} exceeds the stability budget "
+             f"{RESPONSE_NORM_BUDGET}; refusing to exponentiate")
+        a_matrix = np.where(refused[..., None, None], 0.0, a_matrix)
     exo = spec.exosystem()
     return _numerics.exosystem_response(a_matrix, b_matrix @ exo.output, constant,
                                         exo, eta, t1, times)
+
+
+def _guard_load(a_matrix, t1, times):
+    """|A|_2 times the largest |t - t1|, per slice of a stack of A."""
+    span = float(np.max(np.abs(times - t1), initial=0.0))
+    if not a_matrix.size:
+        return np.zeros(a_matrix.shape[:-2])
+    # the largest singular value, as np.linalg.norm(A, 2) finds it
+    return np.linalg.svd(a_matrix, compute_uv=False)[..., 0] * span
 
 
 def _half_step_forcing_constant(grid, B, spec):
@@ -159,7 +185,7 @@ def _half_step_forcing_constant(grid, B, spec):
     at t = 0 of B u'(t - h/2) on a grid of common spacing h, with
     u' = C S w read from the forcing's exosystem."""
     if not spec.dimension:
-        return np.zeros(B.shape[0])
+        return np.zeros(B.shape[:-1])
     exo = spec.exosystem()
     if not exo.is_polynomial:
         raise StrategyError("reduced_half_step needs polynomial forcing; "
@@ -194,27 +220,38 @@ def select_initial_value(y, A, B, c, spec, strategy):
     """
     t = y.grid.points
     t1 = float(t[0])
+    d = A.shape[-1]
     if strategy == "fixed_first":
-        return y.values[0].copy()
+        return y.values[..., 0, :].copy()
     if strategy in ("reduced_consistent", "reduced_half_step"):
         rhs = c + B @ spec.values(np.array([t1]))[0]
         if strategy == "reduced_half_step":
             rhs = rhs + _half_step_forcing_constant(y.grid, B, spec)
-        eye_minus = np.eye(len(c)) - A
+        eye_minus = np.eye(d) - A
         try:
-            return np.linalg.solve(eye_minus, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise StrategyError(f"I - A is singular; {strategy} "
-                                "strategy not applicable") from exc
+            return np.linalg.solve(eye_minus, rhs[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # solve refuses the whole stack; the same LU factorization in
+            # slogdet names the singular slices, solved with I instead
+            singular = np.linalg.slogdet(eye_minus).sign == 0
+            fail(singular, StrategyError,
+                 f"I - A is singular; {strategy} strategy not applicable")
+        eye_minus = np.where(singular[..., None, None], np.eye(d), eye_minus)
+        return np.linalg.solve(eye_minus, rhs[..., None])[..., 0]
     if strategy == "fixed_last":
-        return linear_response(A, B, c, spec, y.values[-1], float(t[-1]),
-                               np.array([t1]))[0]
+        return linear_response(A, B, c, spec, y.values[..., -1, :], float(t[-1]),
+                               np.array([t1]))[..., 0, :]
     if strategy == "least_squares":
         # the response is affine in eta: exp(A (t - t1)) eta + forced(t)
-        forced = linear_response(A, B, c, spec, np.zeros(len(c)), t1, t)
-        design = _numerics.expm(A * (t - t1)[:, None, None]).reshape(-1, len(c))
-        target = (y.values - forced).reshape(-1)
-        return _numerics.solve_least_squares(design, target).coefficients
+        forced = linear_response(A, B, c, spec, np.zeros_like(c), t1, t)
+        # a slice the guard refused (a masked row) enters with A = 0, as there
+        refused = _guard_load(A, t1, t) > RESPONSE_NORM_BUDGET
+        A = np.where(refused[..., None, None], 0.0, A)
+        design = _numerics.expm(A[..., None, :, :] * (t - t1)[:, None, None])
+        stack = forced.shape[:-2]
+        return _numerics.solve_least_squares(
+            design.reshape(stack + (-1, d)),
+            (y.values - forced).reshape(stack + (-1,))).coefficients
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

@@ -18,15 +18,18 @@ matching_time_response = time_response
 
 
 def fit_matching(raw, spec, include_constant=True):
-    """Jointly estimate structure and initial value by least squares."""
+    """Jointly estimate structure and initial value by least squares; a
+    stack of series gives one model per slice (see grey.FittedModel)."""
     x = raw.values
     t = raw.grid.points
     U = spec.antiderivatives(t)
-    integral = _series.integrate_piecewise_linear(raw).values - x[0]
+    integral = _series.integrate_piecewise_linear(raw).values - x[..., :1, :]
     A, B, rest, residual = integral_regression(
-        raw, integral[1:], U[1:] - U[0], t[1:] - t[0] if include_constant else None)
-    c = rest[0] if include_constant else None
-    return FittedModel(A, B, c, rest[-1], spec, float(t[0]), "matching", residual)
+        raw, integral[..., 1:, :], U[1:] - U[0],
+        t[1:] - t[0] if include_constant else None)
+    c = rest[..., 0, :] if include_constant else None
+    return FittedModel(A, B, c, rest[..., -1, :], spec, float(t[0]), "matching",
+                       residual)
 
 
 def fit_config(raw, config):

@@ -6,9 +6,14 @@ response independently.
 Everything here works on plain numpy arrays; numpy is the only runtime
 dependency.  Matrices are small (the rest of the package uses d <= 2 state
 dimensions and a handful of forcing columns), so per-call overhead, not
-flops, sets the cost: `expm` takes whole stacks of matrices in one call,
-and the response march raises one step exponential to all the powers a run
-of equally spaced times needs in a few stacked products.
+flops, sets the cost.  Each function therefore takes a stack of problems
+along a leading axis, one per slice (a Monte Carlo block of replications),
+and does the same operations on each slice as a call on it alone, so a
+single problem is the one-slice case: `solve_least_squares` solves a stack
+of designs by one stacked SVD, `expm` exponentiates a stack of matrices,
+and the response march moves a stack of states through a run of equally
+spaced times by doubling, in a few stacked products.  A slice that fails
+is reported through errors.fail.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,7 @@ from math import factorial, prod
 
 import numpy as np
 
-from .errors import AlignmentError, SingularDesignError
+from .errors import AlignmentError, SingularDesignError, fail
 from .series import UNIFORM_RTOL
 
 # Numerical rank threshold, relative to the largest singular value.
@@ -25,7 +30,9 @@ RANK_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class LeastSquaresSolution:
-    """Minimizer of ||targets - design @ coefficients||_F."""
+    """Minimizer of ||targets - design @ coefficients||_F; for a stack of
+    problems, one per slice of the leading axis, each field gains that
+    axis."""
 
     coefficients: np.ndarray
     residual_norm: float
@@ -37,40 +44,51 @@ def solve_least_squares(design, targets):
 
     Uses an orthogonal (SVD) factorization rather than forming the normal
     equations, which matters because cumulative-sum regressors tend to be
-    strongly collinear.
+    strongly collinear.  design may be a stack (R, rows, cols) with targets
+    (R, rows[, k]); each slice is solved as it would be alone.
 
-    Raises SingularDesignError when the numerical rank of the design falls
-    below its column count at a relative tolerance of 1e-10.
+    A design whose numerical rank falls below its column count at a
+    relative tolerance of 1e-10 fails with SingularDesignError; a failed
+    slice of a stack gets zero coefficients (errors.fail).
     """
-    design = np.atleast_2d(np.asarray(design, dtype=float))
+    design = np.asarray(design, dtype=float)
+    if design.ndim == 1:
+        design = design[None]
     targets = np.asarray(targets, dtype=float)
-    flat_target = targets.ndim == 1
+    flat_target = targets.ndim == design.ndim - 1
     if flat_target:
-        targets = targets[:, None]
-    rows, cols = design.shape
+        targets = targets[..., None]
+    rows, cols = design.shape[-2:]
     if rows < cols:
         raise SingularDesignError(
             f"design has {rows} rows but {cols} columns; system is underdetermined"
         )
-    if targets.shape[0] != rows:
+    if targets.shape[-2] != rows:
         raise ValueError(
-            f"targets have {targets.shape[0]} rows, design has {rows}"
+            f"targets have {targets.shape[-2]} rows, design has {rows}"
         )
     if not (np.isfinite(design).all() and np.isfinite(targets).all()):
         raise ValueError("design and targets must be finite")
 
-    coeffs, _, _, singular_values = np.linalg.lstsq(design, targets, rcond=None)
-    smax = singular_values[0] if len(singular_values) else 0.0
-    rank = int(np.sum(singular_values > RANK_TOLERANCE * smax)) if smax > 0 else 0
-    if rank < cols:
-        raise SingularDesignError(
-            f"design is rank-deficient: {cols - rank} of {cols} columns redundant"
-        )
-    residual = float(np.linalg.norm(targets - design @ coeffs))
-    condition = float(singular_values[0] / singular_values[-1])
+    left, singular_values, right = np.linalg.svd(design, full_matrices=False)
+    largest, smallest = singular_values[..., 0], singular_values[..., -1]
+    deficient = smallest <= RANK_TOLERANCE * largest
+    if deficient.any():
+        redundant = cols - np.count_nonzero(
+            singular_values > RANK_TOLERANCE * largest[..., None], axis=-1)
+        fail(deficient, SingularDesignError, "design is rank-deficient: "
+             f"{np.max(redundant)} of {cols} columns redundant")
+        # a masked slice: zero coefficients, infinite condition estimate
+        singular_values = np.where(deficient[..., None], np.inf, singular_values)
+        largest = np.where(deficient, np.inf, largest)
+        smallest = np.where(deficient, 1.0, smallest)
+    coeffs = right.swapaxes(-1, -2) @ (
+        (left.swapaxes(-1, -2) @ targets) / singular_values[..., None])
+    residual = np.sqrt(np.square(targets - design @ coeffs).sum(axis=(-2, -1)))
+    condition = largest / smallest
     if flat_target:
-        coeffs = coeffs[:, 0]
-    return LeastSquaresSolution(coeffs, residual, condition)
+        coeffs = coeffs[..., 0]
+    return LeastSquaresSolution(coeffs, residual[()], condition[()])
 
 
 # Pade degrees m and the 1-norm bounds theta_m up to which the [m/m]
@@ -171,6 +189,22 @@ def simpson_integral(fn_of_times, a, b, steps):
     return (b - a) / (3.0 * panels) * (weights[:, None] * values).sum(axis=0)
 
 
+def _march(step, state, count):
+    """step^1 state, ..., step^count state for a stack of step matrices
+    and states, shape (..., count, D).  Doubling on the states: once the
+    first m states are made, the power step^m maps them to the next m in
+    one stacked product, and is then squared; about 2 log2(count) products
+    in all, and no stack of powers held in memory."""
+    states = state[..., None, :] @ step.swapaxes(-1, -2)
+    power = step
+    while (made := states.shape[-2]) < count:
+        if made > 1:
+            power = power @ power
+        ahead = states[..., :count - made, :] @ power.swapaxes(-1, -2)
+        states = np.concatenate([states, ahead], axis=-2)
+    return states
+
+
 def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     """Exact solution of z' = A z + G w(t) + c, z(t1) = eta, at given times,
     where the forcing state w follows an exosystem w' = S w
@@ -181,11 +215,15 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     march runs outward from t1, forward to later times and backward to
     earlier ones, and re-reads w at each knot of the exosystem on the way.
     A step exponential P is reused while the steps agree to UNIFORM_RTOL.
-    A run of k equally spaced times with no knot between them takes the
-    powers P, P^2, ..., P^k, built by stacked doubling, in one product with
-    the state, so equally spaced times cost one exponential and about
-    log2(k) matrix products.  Times outside the exosystem's domain raise
-    AlignmentError.  Returns an array of shape (len(times), d).
+    A run of k equally spaced times with no knot between them is marched by
+    doubling (P s, P^2 s, ..., P^k s in about 2 log2(k) stacked products),
+    so equally spaced times cost one exponential.  Times outside the
+    exosystem's domain raise AlignmentError.
+
+    A, G, c and eta may carry a leading stack axis, one system per slice
+    (a_matrix (R, d, d), eta (R, d), ...), which all march over the same
+    times and knots in the same products; each slice gets the numbers it
+    gets alone.  Returns an array of shape (..., len(times), d).
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
     eta = np.asarray(eta, dtype=float)
@@ -197,21 +235,24 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
         raise AlignmentError(
             f"t={outside[0]} outside the forcing's sample range [{lo}, {hi}]"
         )
-    d, m = len(eta), len(exosystem.generator)
+    stack = a_matrix.shape[:-2]
+    d, m = eta.shape[-1], len(exosystem.generator)
     if constant is None:
-        tail = np.ones(0)
+        tail = np.ones(stack + (0,))
     else:
         # c enters as (c / g) times a constant state g, a power of two at
         # least max |c|: exact, and it keeps the generator's 1-norm, which
         # sets the Pade degree and the squarings, from growing with |c|
-        tail = np.exp2(np.ceil(np.log2(np.abs(constant).max(initial=1.0))))[None]
-    gen = np.zeros((d + m + len(tail), d + m + len(tail)))
-    gen[:d, :d] = a_matrix
-    gen[:d, d:d + m] = gain
-    gen[d:d + m, d:d + m] = exosystem.generator
+        tail = np.exp2(np.ceil(np.log2(
+            np.abs(constant).max(axis=-1, initial=1.0))))[..., None]
+    size = d + m + tail.shape[-1]
+    gen = np.zeros(stack + (size, size))
+    gen[..., :d, :d] = a_matrix
+    gen[..., :d, d:d + m] = gain
+    gen[..., d:d + m, d:d + m] = exosystem.generator
     if constant is not None:
-        gen[:d, -1] = constant / tail
-    out = np.empty((len(times), d))
+        gen[..., :d, -1] = constant / tail
+    out = np.empty(stack + (len(times), d))
     knots = exosystem.knots
     for forward in (True, False):
         sign = 1.0 if forward else -1.0
@@ -226,12 +267,14 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
         order = np.argsort(sign * stop_times, kind="stable")
         stops, kinds = stop_times[order], stop_index[order]
         gaps = stops - np.concatenate([[t1], stops[:-1]])
-        state = np.concatenate([eta, exosystem.state(t1, forward), tail])
+        state = np.concatenate([
+            eta, np.broadcast_to(exosystem.state(t1, forward), stack + (m,)), tail],
+            axis=-1)
         h, i = None, 0
         while i < len(stops):
             j = i + 1
             if gaps[i] == 0:
-                states = state[None]
+                states = state[..., None, :]
             else:
                 if h is None or abs(gaps[i] - h) > UNIFORM_RTOL * abs(h):
                     h = gaps[i]
@@ -240,14 +283,11 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
                     # the targets that follow at the same step, up to a knot
                     same = (kinds[j:] >= 0) & (abs(gaps[j:] - h) <= UNIFORM_RTOL * abs(h))
                     j += len(same) if same.all() else int(same.argmin())
-                powers = step[None]
-                while len(powers) < j - i:
-                    powers = np.concatenate([powers, powers[-1] @ powers])
-                states = powers[:j - i] @ state
-                state = states[-1]
+                states = _march(step, state, j - i)
+                state = states[..., -1, :]
             if kinds[i] < 0:
-                state[d:d + m] = exosystem.state(stops[i], forward)
+                state[..., d:d + m] = exosystem.state(stops[i], forward)
             else:
-                out[kinds[i:j]] = states[:, :d]
+                out[..., kinds[i:j], :] = states[..., :d]
             i = j
     return out

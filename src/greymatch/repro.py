@@ -313,7 +313,10 @@ def reproduce_parameter_table(reps=200, seed=DEFAULT_SIM_SEED, cells=None):
         summary = _simulate.run_monte_carlo(_scenario(n, snr, reps, seed),
                                             horizons=())
         if summary.failure_count:
-            notes.append(f"cell ({n},{snr}): {summary.failure_count} failed fits")
+            reasons = ", ".join(f"{name} {count}"
+                                for name, count in summary.failure_reasons.items())
+            notes.append(f"cell ({n},{snr}): {summary.failure_count} failed fits "
+                         f"({reasons})")
         label = f"n={n} snr={snr}"
         anchor = (n, snr) == (21, 5.0)
         for key, ref_key, sd_key in (("matching_A", "A", "A_sd"),

@@ -5,6 +5,10 @@ the first interval weight is fixed to 1 regardless of where the grid starts,
 so y(t_1) = x(t_1) always.  This surprises users of irregular grids whose
 first point carries other units; it is intentional and matched by the
 inverse operator.
+
+A VectorSeries may hold a stack of series on one grid, values shaped
+(R, n, d); cusum, inverse_cusum and integrate_piecewise_linear work along
+the time axis of each, so a single series is the one-slice case.
 """
 
 import csv as _csv
@@ -62,7 +66,8 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class VectorSeries:
-    """d-dimensional observations on a TimeGrid, one row per time point."""
+    """d-dimensional observations on a TimeGrid, one row per time point;
+    values of shape (n, d), or (R, n, d) for R series on the same grid."""
 
     grid: TimeGrid
     values: np.ndarray
@@ -71,9 +76,9 @@ class VectorSeries:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim == 1:
             vals = vals[:, None]
-        if vals.shape[0] != len(self.grid):
+        if vals.shape[-2] != len(self.grid):
             raise ValueError(
-                f"series has {vals.shape[0]} rows but grid has {len(self.grid)} points"
+                f"series has {vals.shape[-2]} rows but grid has {len(self.grid)} points"
             )
         if not np.isfinite(vals).all():
             raise ValueError("series values must be finite")
@@ -81,14 +86,15 @@ class VectorSeries:
 
     @property
     def n(self):
-        return self.values.shape[0]
+        return self.values.shape[-2]
 
     @property
     def d(self):
-        return self.values.shape[1]
+        return self.values.shape[-1]
 
     def head(self, count):
-        return VectorSeries(TimeGrid(self.grid.points[:count]), self.values[:count])
+        return VectorSeries(TimeGrid(self.grid.points[:count]),
+                            self.values[..., :count, :])
 
 
 def make_series(times, values):
@@ -99,7 +105,7 @@ def make_series(times, values):
 def cusum(series):
     """Interval-weighted running sum: y(t_k) = sum_{i<=k} h_i x(t_i)."""
     h = series.grid.intervals
-    return VectorSeries(series.grid, np.cumsum(h[:, None] * series.values, axis=0))
+    return VectorSeries(series.grid, np.cumsum(h[:, None] * series.values, axis=-2))
 
 
 def inverse_cusum(series):
@@ -107,8 +113,8 @@ def inverse_cusum(series):
     h = series.grid.intervals
     y = series.values
     x = np.empty_like(y)
-    x[0] = y[0] / h[0]
-    x[1:] = (y[1:] - y[:-1]) / h[1:, None]
+    x[..., 0, :] = y[..., 0, :] / h[0]
+    x[..., 1:, :] = (y[..., 1:, :] - y[..., :-1, :]) / h[1:, None]
     return VectorSeries(series.grid, x)
 
 
@@ -118,8 +124,9 @@ def integrate_piecewise_linear(series):
     h = series.grid.intervals
     # cumsum adds the increments in row order, so each row rounds exactly
     # as a running sum does
-    increments = np.concatenate([x[:1], 0.5 * h[1:, None] * (x[:-1] + x[1:])])
-    return VectorSeries(series.grid, np.cumsum(increments, axis=0))
+    increments = np.concatenate(
+        [x[..., :1, :], 0.5 * h[1:, None] * (x[..., :-1, :] + x[..., 1:, :])], axis=-2)
+    return VectorSeries(series.grid, np.cumsum(increments, axis=-2))
 
 
 @dataclass(frozen=True)

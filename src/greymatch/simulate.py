@@ -14,8 +14,18 @@ ships as references; noise_exponent=0.5 gives the textbook
 noise-free.  Fitting errors are scored against the clean trajectory;
 k-step-ahead errors are absolute percentage errors at the k-th held-out
 point.
+
+Engine:  replications are fitted in blocks of REPLICATION_BLOCK.  A block's
+noisy series are stacked along a leading axis (values (R, n, d)) and go
+through fit_grey, fit_matching and predict_on_grid once, in the same code a
+single series takes; each replication gets the numbers it gets alone.  The
+noise of each replication still comes from its own Philox stream.  A
+replication that fails (a singular design, a singular I - A, a response the
+overflow guard refuses) is a masked row of the block, recorded with its
+error class by errors.record_failures, and left out of the metrics.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +34,7 @@ from . import basis as _basis
 from . import grey as _grey
 from . import matching as _matching
 from . import series as _series
-from .errors import GreymatchError
+from .errors import record_failures
 
 QUARTILE_LEVELS = (0, 25, 50, 75, 100)
 
@@ -96,15 +106,18 @@ def noise_sigmas(scenario, clean_in_values):
     return scenario.noise_scale * spread / scenario.snr ** scenario.noise_exponent
 
 
-def _noisy_series(scenario, clean, sigma, replication):
-    """Replication `replication`'s noisy in-sample series: the clean
-    in-sample values plus Gaussian noise of per-component standard deviation
-    sigma, drawn from the replication's own counter-based stream."""
-    n = scenario.n
-    seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(replication,))
-    rng = np.random.Generator(np.random.Philox(seq))
-    values = clean.values[:n] + sigma * rng.standard_normal((n, scenario.d))
-    return _series.VectorSeries(_series.TimeGrid(clean.grid.points[:n]), values)
+def _noisy_series(scenario, clean, sigma, replications):
+    """The noisy in-sample series of the given replications, stacked:
+    values (len(replications), n, d), each the clean in-sample values plus
+    Gaussian noise of per-component standard deviation sigma, drawn from
+    the replication's own counter-based stream."""
+    n, d = scenario.n, scenario.d
+    noise = np.empty((len(replications), n, d))
+    for row, replication in zip(noise, replications):
+        seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(replication,))
+        np.random.Generator(np.random.Philox(seq)).standard_normal(out=row)
+    return _series.VectorSeries(_series.TimeGrid(clean.grid.points[:n]),
+                                clean.values[:n] + sigma * noise)
 
 
 def generate_trajectory(scenario, replication=0):
@@ -112,7 +125,8 @@ def generate_trajectory(scenario, replication=0):
     horizon) and the noisy in-sample series."""
     clean = _clean_trajectory(scenario)
     sigma = noise_sigmas(scenario, clean.values[:scenario.n])
-    return clean, _noisy_series(scenario, clean, sigma, replication)
+    noisy = _noisy_series(scenario, clean, sigma, [replication])
+    return clean, _series.VectorSeries(noisy.grid, noisy.values[0])
 
 
 @dataclass(frozen=True)
@@ -121,12 +135,15 @@ class ReplicationSummary:
 
     per_replication maps metric keys ("matching_fit", "grey_step10",
     "matching_A", ...) to arrays with one row per completed replication.
+    failure_reasons maps the error class name of each failed replication
+    to its count.
     """
 
     scenario: SimulationScenario
     horizons: tuple
     completed: int
     failure_count: int
+    failure_reasons: dict
     parameter_means: dict
     parameter_stds: dict
     quartiles: dict
@@ -135,54 +152,74 @@ class ReplicationSummary:
     metadata: dict
 
 
+# Replications fitted in one stacked pass.  Beyond a few dozen, larger
+# blocks save little time and cost memory; any block size gives every
+# replication the same numbers.
+REPLICATION_BLOCK = 50
+
+
+def _metric_keys(horizons):
+    return (["grey_A", "matching_A", "grey_eta", "matching_eta",
+             "grey_fit", "matching_fit"]
+            + [f"grey_step{k}" for k in horizons]
+            + [f"matching_step{k}" for k in horizons])
+
+
+def _replication_block(scenario, clean, sigma, replications, horizons):
+    """Fit both pipelines to a block of replications in one stacked pass and
+    score them against the clean trajectory.  Returns the metrics, one row
+    per replication, and the failure record (errors.record_failures)."""
+    n = scenario.n
+    clean_in = clean.values[:n]
+    noisy = _noisy_series(scenario, clean, sigma, replications)
+    with record_failures(len(replications)) as failures:
+        models = {"grey": _grey.fit_grey(noisy, scenario.forcing,
+                                         strategy="reduced_consistent"),
+                  "matching": _matching.fit_matching(noisy, scenario.forcing,
+                                                     scenario.include_constant)}
+        preds = {name: _grey.predict_on_grid(model, clean.grid).values
+                 for name, model in models.items()}
+    metrics = {}
+    for name, model in models.items():
+        metrics[f"{name}_A"] = model.A.reshape(len(replications), -1)
+        metrics[f"{name}_eta"] = model.eta
+    for name, pred in preds.items():
+        fit_ape = np.abs((pred[:, :n] - clean_in) / clean_in) * 100.0
+        metrics[f"{name}_fit"] = fit_ape.mean(axis=1)
+        for k in horizons:
+            idx = n - 1 + k
+            metrics[f"{name}_step{k}"] = np.abs(
+                (pred[:, idx] - clean.values[idx]) / clean.values[idx]) * 100.0
+    return metrics, failures
+
+
 def run_monte_carlo(scenario, horizons=(2, 5, 10)):
     """Run the full replication study for one scenario.
 
-    Deterministic in (scenario, seed): every replication draws from its own
-    counter-based stream, so results do not depend on execution order.
+    Replications are fitted in blocks of REPLICATION_BLOCK, each in one
+    stacked pass of the fit and response code.  Deterministic in (scenario,
+    seed): every replication draws from its own counter-based stream and
+    gets the numbers it gets alone, so results do not depend on the block
+    size or on how many replications run.  A replication that fails is
+    left out of the metrics and counted under its error class.
     """
     horizons = tuple(int(k) for k in horizons)
     if horizons and max(horizons) > scenario.horizon:
         raise ValueError("scenario horizon is shorter than a requested step count")
-    n = scenario.n
     clean = _clean_trajectory(scenario)
-    clean_in = clean.values[:n]
-    sigma = noise_sigmas(scenario, clean_in)
+    sigma = noise_sigmas(scenario, clean.values[:scenario.n])
 
-    metrics = {key: [] for key in
-               ["grey_A", "matching_A", "grey_eta", "matching_eta",
-                "grey_fit", "matching_fit"]
-               + [f"grey_step{k}" for k in horizons]
-               + [f"matching_step{k}" for k in horizons]}
-    failures = 0
-    max_gap = 0.0
-    for rep in range(scenario.replications):
-        noisy = _noisy_series(scenario, clean, sigma, rep)
-        try:
-            gmodel = _grey.fit_grey(noisy, scenario.forcing,
-                                    strategy="reduced_consistent")
-            mmodel = _matching.fit_matching(noisy, scenario.forcing,
-                                            scenario.include_constant)
-            preds = [_grey.predict_on_grid(model, clean.grid).values
-                     for model in (gmodel, mmodel)]
-        except GreymatchError:
-            failures += 1
-            continue
-        max_gap = max(max_gap, float(np.abs(gmodel.A - mmodel.A).max()))
-        metrics["grey_A"].append(gmodel.A.reshape(-1))
-        metrics["matching_A"].append(mmodel.A.reshape(-1))
-        metrics["grey_eta"].append(gmodel.eta)
-        metrics["matching_eta"].append(mmodel.eta)
-        for name, pred in zip(("grey", "matching"), preds):
-            fit_ape = np.abs((pred[:n] - clean_in) / clean_in) * 100.0
-            metrics[f"{name}_fit"].append(fit_ape.mean(axis=0))
-            for k in horizons:
-                idx = n - 1 + k
-                ape = np.abs((pred[idx] - clean.values[idx]) / clean.values[idx]) * 100.0
-                metrics[f"{name}_step{k}"].append(ape)
+    reps = scenario.replications
+    blocks = [_replication_block(scenario, clean, sigma,
+                                 range(first, min(first + REPLICATION_BLOCK, reps)),
+                                 horizons)
+              for first in range(0, reps, REPLICATION_BLOCK)]
+    failures = np.concatenate([record for _, record in blocks])
+    sound = np.equal(failures, None)
+    per_replication = {key: np.concatenate([metrics[key] for metrics, _ in blocks])[sound]
+                       for key in _metric_keys(horizons)}
+    failure_reasons = Counter(error.__name__ for error in failures[~sound])
 
-    per_replication = {key: np.array(vals) for key, vals in metrics.items()}
-    completed = scenario.replications - failures
     parameter_means, parameter_stds, quartiles = {}, {}, {}
     for key in ("grey_A", "matching_A", "grey_eta", "matching_eta"):
         arr = per_replication[key]
@@ -192,15 +229,17 @@ def run_monte_carlo(scenario, horizons=(2, 5, 10)):
         if key.endswith("_fit") or "_step" in key:
             if len(arr):
                 quartiles[key] = np.percentile(arr, QUARTILE_LEVELS, axis=0)
+    gap = np.abs(per_replication["grey_A"] - per_replication["matching_A"])
     return ReplicationSummary(
         scenario=scenario,
         horizons=horizons,
-        completed=completed,
-        failure_count=failures,
+        completed=int(sound.sum()),
+        failure_count=int((~sound).sum()),
+        failure_reasons=dict(sorted(failure_reasons.items())),
         parameter_means=parameter_means,
         parameter_stds=parameter_stds,
         quartiles=quartiles,
-        max_structural_gap=max_gap,
+        max_structural_gap=float(gap.max(initial=0.0)),
         per_replication=per_replication,
         metadata={
             "grey_strategy": "reduced_consistent",
@@ -222,6 +261,7 @@ def summary_to_dict(summary):
         "replications": summary.scenario.replications,
         "completed": summary.completed,
         "failure_count": summary.failure_count,
+        "failure_reasons": summary.failure_reasons,
         "horizons": list(summary.horizons),
         "parameter_means": {k: v.tolist() for k, v in summary.parameter_means.items()},
         "parameter_stds": {k: v.tolist() for k, v in summary.parameter_stds.items()},

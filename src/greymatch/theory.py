@@ -51,10 +51,12 @@ def recover_constant(A, B, x1, xi, spec, t1=0.0):
 
 
 def check_translation_invariance(raw, spec, strategy="fixed_first", shift=None,
-                                 tol_params=1e-9, tol_values=1e-8):
+                                 tol_params=1e-9, tol_values=1e-8,
+                                 background_lambda=0.5):
     """Adding `shift` to the first raw observation translates the cusum
     series; the fitted A and B must not move, c must move by -A*shift, and
-    the restored values from the second point on must be unchanged.
+    the restored values from the second point on must be unchanged.  Both
+    fits are grey fits with the given strategy and background_lambda.
 
     Value invariance holds for the fixed_first, fixed_last and
     least_squares strategies, whose initial values co-translate with the
@@ -67,8 +69,8 @@ def check_translation_invariance(raw, spec, strategy="fixed_first", shift=None,
     shifted_values[0] += shift
     shifted = _series.VectorSeries(raw.grid, shifted_values)
 
-    base = _grey.fit_grey(raw, spec, strategy)
-    moved = _grey.fit_grey(shifted, spec, strategy)
+    base = _grey.fit_grey(raw, spec, strategy, background_lambda)
+    moved = _grey.fit_grey(shifted, spec, strategy, background_lambda)
     restored_base = _grey.predict_on_grid(base, raw.grid)
     restored_moved = _grey.predict_on_grid(moved, raw.grid)
 

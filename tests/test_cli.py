@@ -389,6 +389,25 @@ class TestVerify:
         report = json.loads(stdout)
         assert report["passed"]
 
+    def test_translation_checks_the_config_strategy(self, capsys, tmp_path,
+                                                    water_csv):
+        # reduced_consistent maps the initial value through (I - A)^{-1}, so
+        # the restored values move and the check fails, as in the library
+        config = tmp_path / "grey.json"
+        config.write_text(json.dumps({"model": "grey",
+                                      "strategy": "reduced_consistent",
+                                      "lambda": 0.5}))
+        code, stdout, _ = run_cli(capsys, "verify", "--check", "translation",
+                                  "--input", str(water_csv), "--model", str(config))
+        assert code == cli.EXIT_TOLERANCE
+        report = json.loads(stdout)
+        library = gm.check_translation_invariance(
+            gm.read_csv(water_csv), gm.ZeroForcing(), strategy="reduced_consistent",
+            shift=np.full(1, 5.0), background_lambda=0.5)
+        assert not report["passed"] and not library.passed
+        assert report["details"] == library.details
+        assert report["max_abs_discrepancy"] == library.max_abs_discrepancy
+
     def test_proposition1(self, capsys, water_csv):
         code, stdout, _ = run_cli(capsys, "verify", "--check", "proposition1",
                                   "--input", str(water_csv))

@@ -6,7 +6,8 @@ import pytest
 import greymatch as gm
 from greymatch import grey, repro
 from greymatch.errors import (InsufficientDataError, OverflowGuardError,
-                              SingularDesignError, StrategyError)
+                              SingularDesignError, StrategyError,
+                              record_failures)
 
 
 class TestBuildRegression:
@@ -211,6 +212,76 @@ class TestInitialStrategies:
         best = objective("least_squares")
         assert best <= objective("fixed_first") + 1e-12
         assert best <= objective("fixed_last") + 1e-12
+
+
+class TestStackedFits:
+    """A stack of series (values (R, n, d)) fits one model per slice, each
+    bit for bit the model of its series alone; a failed slice is masked."""
+
+    @staticmethod
+    def stack():
+        rng = np.random.default_rng(21)
+        values = np.abs(rng.normal(loc=6.0, scale=1.0, size=(3, 12, 2))) + 1.0
+        values[1] = 4.0  # constant equal components: a singular design
+        return gm.VectorSeries(gm.TimeGrid(np.arange(1.0, 13.0)), values)
+
+    @pytest.mark.parametrize("strategy", grey.INITIAL_STRATEGIES)
+    def test_grey_slices_are_single_fits(self, strategy):
+        raw = self.stack()
+        with record_failures(3) as failed:
+            model = gm.fit_grey(raw, gm.ZeroForcing(), strategy)
+        assert list(failed) == [None, SingularDesignError, None]
+        assert model.A.shape == (3, 2, 2) and model.eta.shape == (3, 2)
+        for k in (0, 2):
+            one = gm.fit_grey(gm.VectorSeries(raw.grid, raw.values[k]),
+                              gm.ZeroForcing(), strategy)
+            for field in ("A", "B", "c", "eta"):
+                assert np.array_equal(getattr(model, field)[k],
+                                      getattr(one, field)), (k, field)
+
+    def test_matching_slices_are_single_fits(self):
+        raw = self.stack()
+        spec = gm.PolynomialForcing(1)
+        with record_failures(3) as failed:
+            model = gm.fit_matching(raw, spec)
+            pred = gm.predict_on_grid(model, raw.grid.extended(4))
+        assert list(failed) == [None, SingularDesignError, None]
+        for k in (0, 2):
+            one = gm.fit_matching(gm.VectorSeries(raw.grid, raw.values[k]), spec)
+            for field in ("A", "B", "c", "eta"):
+                assert np.array_equal(getattr(model, field)[k], getattr(one, field))
+            assert np.array_equal(pred.values[k],
+                                  gm.predict_on_grid(one, raw.grid.extended(4)).values)
+
+    @pytest.mark.parametrize("strategy", ["reduced_consistent", "reduced_half_step"])
+    def test_singular_slice_of_a_stack_is_masked(self, water_train, strategy):
+        y = gm.cusum(water_train)
+        a = np.array([[[0.2]], [[1.0]], [[-0.3]]])  # I - A singular in slice 1
+        b = np.zeros((3, 1, 0))
+        c = np.array([[1.5], [2.0], [0.5]])
+        with record_failures(3) as failed:
+            eta = grey.select_initial_value(y, a, b, c, gm.ZeroForcing(), strategy)
+        assert list(failed) == [None, StrategyError, None]
+        assert np.isfinite(eta).all()
+        for k in (0, 2):
+            one = grey.select_initial_value(y, a[k], b[k], c[k], gm.ZeroForcing(),
+                                            strategy)
+            assert np.array_equal(eta[k], one)
+        with pytest.raises(StrategyError, match="slice 1 of the stack"):
+            grey.select_initial_value(y, a, b, c, gm.ZeroForcing(), strategy)
+
+    def test_guard_refuses_only_its_slice(self):
+        a = np.array([[[-0.2]], [[3.0]], [[0.1]]])  # |A| * span = 3 * 20 in slice 1
+        b, c, eta = np.zeros((3, 1, 0)), np.ones((3, 1)), np.ones((3, 1))
+        times = np.arange(21.0)
+        with record_failures(3) as failed:
+            values = grey.linear_response(a, b, c, gm.ZeroForcing(), eta, 0.0, times)
+        assert list(failed) == [None, OverflowGuardError, None]
+        assert np.isfinite(values).all()
+        for k in (0, 2):
+            one = grey.linear_response(a[k], b[k], c[k], gm.ZeroForcing(), eta[k],
+                                       0.0, times)
+            assert np.array_equal(values[k], one)
 
 
 class TestTimeResponse:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greymatch import PolynomialForcing, ZeroForcing, numerics
-from greymatch.errors import SingularDesignError
+from greymatch.errors import SingularDesignError, record_failures
 from greymatch.grey import linear_response
 from tests.conftest import ode_oracle
 
@@ -54,6 +54,47 @@ class TestSolveLeastSquares:
     def test_underdetermined_rejected(self):
         with pytest.raises(SingularDesignError):
             numerics.solve_least_squares(np.ones((2, 3)), np.ones(2))
+
+
+class TestStackedLeastSquares:
+    """A stack of designs (R, rows, cols) is solved slice by slice."""
+
+    @staticmethod
+    def stack(deficient_slice=None):
+        rng = np.random.default_rng(5)
+        design = rng.normal(size=(3, 8, 3))
+        targets = rng.normal(size=(3, 8, 2))
+        if deficient_slice is not None:
+            design[deficient_slice, :, 2] = 2.0 * design[deficient_slice, :, 0]
+        return design, targets
+
+    def test_each_slice_is_the_one_slice_solve(self):
+        design, targets = self.stack()
+        sol = numerics.solve_least_squares(design, targets)
+        assert sol.coefficients.shape == (3, 3, 2)
+        for k in range(3):
+            one = numerics.solve_least_squares(design[k], targets[k])
+            assert np.array_equal(sol.coefficients[k], one.coefficients)
+            assert sol.residual_norm[k] == one.residual_norm
+            assert sol.condition_estimate[k] == one.condition_estimate
+
+    def test_rank_deficient_slice_is_masked(self):
+        design, targets = self.stack(deficient_slice=1)
+        with record_failures(3) as failed:
+            sol = numerics.solve_least_squares(design, targets)
+        assert list(failed) == [None, SingularDesignError, None]
+        assert not sol.coefficients[1].any()
+        assert sol.condition_estimate[1] == np.inf
+        for k in (0, 2):
+            one = numerics.solve_least_squares(design[k], targets[k])
+            assert np.array_equal(sol.coefficients[k], one.coefficients)
+
+    def test_outside_a_record_the_stack_raises(self):
+        design, targets = self.stack(deficient_slice=1)
+        with pytest.raises(SingularDesignError, match="slice 1 of the stack"):
+            numerics.solve_least_squares(design, targets)
+        with pytest.raises(SingularDesignError, match="1 of 3 columns"):
+            numerics.solve_least_squares(design[1], targets[1])
 
 
 def taylor_exponential(m, terms=60):

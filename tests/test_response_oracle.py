@@ -3,6 +3,7 @@ integrator: scipy's DOP853 at rtol = atol = 1e-12 (tests.conftest.ode_oracle),
 over random stable systems, every forcing kind and both time directions."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,3 +112,34 @@ def test_large_constant():
     for t1 in (2.0, 16.5):
         assert_matches_oracle(a, rng.normal(size=(2, 2)), c, spec,
                               rng.normal(size=2), t1, times)
+
+
+@pytest.mark.parametrize("kind", ["fourier", "exogenous", "grey constant"])
+def test_stacked_response_matches_solve_ivp(kind):
+    # four systems, each with its own A, B, c and eta, marched in one stack
+    # over times on both sides of t1; every slice must match the oracle and
+    # equal the one-slice call bit for bit
+    rng = np.random.default_rng({"fourier": 3, "exogenous": 4, "grey constant": 5}[kind])
+    times = -1.0 + 0.3 * np.arange(25)
+    t1 = 1.4
+    if kind == "fourier":
+        spec = gm.FourierForcing(2, 0.3)
+    elif kind == "exogenous":
+        spec = random_spec(rng, "exogenous", times[0], times[-1])
+        assert spec.exosystem().knots.size > 2
+    else:
+        spec = gm.PolynomialForcing(2)
+    stack = 4
+    a = np.array([make_stable_system(rng, 2) for _ in range(stack)])
+    b = rng.normal(size=(stack, 2, spec.dimension))
+    c = rng.normal(size=(stack, 2))
+    if kind == "grey constant":
+        c *= 3.0e3
+    eta = rng.normal(size=(stack, 2))
+    got = linear_response(a, b, c, spec, eta, t1, times)
+    assert got.shape == (stack, len(times), 2)
+    for k in range(stack):
+        want = oracle(a[k], b[k], c[k], spec, eta[k], t1, times)
+        assert np.abs(got[k] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+        alone = linear_response(a[k], b[k], c[k], spec, eta[k], t1, times)
+        assert np.array_equal(got[k], alone)

@@ -81,13 +81,40 @@ class TestRunMonteCarlo:
             assert np.array_equal(arr, s2.per_replication[key]), key
 
     def test_replications_fit_the_series_generate_trajectory_draws(self, sim_system):
+        # every metric of both pipelines, bit for bit, from a fit of the one
+        # series generate_trajectory draws
         sc = scenario(sim_system, replications=3)
-        summary = gm.run_monte_carlo(sc)
+        horizons = (2, 5, 10)
+        summary = gm.run_monte_carlo(sc, horizons)
+        assert set(summary.per_replication) == {
+            f"{name}_{metric}" for name in ("grey", "matching")
+            for metric in ("A", "eta", "fit", *(f"step{k}" for k in horizons))}
+        n = sc.n
         for k in range(sc.replications):
-            _, noisy = gm.generate_trajectory(sc, replication=k)
-            model = gm.fit_matching(noisy, sc.forcing, sc.include_constant)
-            assert np.array_equal(summary.per_replication["matching_A"][k],
-                                  model.A.reshape(-1))
+            clean, noisy = gm.generate_trajectory(sc, replication=k)
+            models = {"grey": gm.fit_grey(noisy, sc.forcing,
+                                          strategy="reduced_consistent"),
+                      "matching": gm.fit_matching(noisy, sc.forcing,
+                                                  sc.include_constant)}
+            for name, model in models.items():
+                pred = gm.predict_on_grid(model, clean.grid).values
+                ape = np.abs((pred - clean.values) / clean.values) * 100.0
+                want = {"A": model.A.reshape(-1), "eta": model.eta,
+                        "fit": ape[:n].mean(axis=0),
+                        **{f"step{h}": ape[n - 1 + h] for h in horizons}}
+                for metric, value in want.items():
+                    got = summary.per_replication[f"{name}_{metric}"][k]
+                    assert np.array_equal(got, value), (k, name, metric)
+
+    @pytest.mark.parametrize("short", [7, 60])
+    def test_fewer_replications_give_the_leading_rows(self, sim_system, short):
+        # 60 replications cross the first block boundary, as 120 do twice
+        assert simulate.REPLICATION_BLOCK < 60 < 2 * simulate.REPLICATION_BLOCK
+        full = gm.run_monte_carlo(scenario(sim_system, replications=120, seed=9))
+        part = gm.run_monte_carlo(scenario(sim_system, replications=short, seed=9))
+        assert full.per_replication.keys() == part.per_replication.keys()
+        for key, arr in full.per_replication.items():
+            assert np.array_equal(arr[:short], part.per_replication[key]), key
 
     def test_structural_estimates_identical_per_replication(self, sim_system):
         sc = scenario(sim_system, replications=10)
@@ -103,6 +130,21 @@ class TestRunMonteCarlo:
         summary = gm.run_monte_carlo(sc)
         assert summary.failure_count == 3
         assert summary.completed == 0
+        assert summary.failure_reasons == {"SingularDesignError": 3}
+        assert simulate.summary_to_dict(summary)["failure_reasons"] == {
+            "SingularDesignError": 3}
+
+    def test_parameter_table_note_names_failure_classes(self, monkeypatch):
+        sc = gm.SimulationScenario(a_matrix=np.zeros((2, 2)),
+                                   initial_state=np.array([1.0, 1.0]),
+                                   snr=5.0, replications=3, seed=0,
+                                   noise_scale=0.0)
+        failing = gm.run_monte_carlo(sc, horizons=())
+        monkeypatch.setattr(repro._simulate, "run_monte_carlo",
+                            lambda *args, **kwargs: failing)
+        report = repro.reproduce_parameter_table(reps=3, cells=[(21, 5.0)])
+        assert ("cell (21,5.0): 3 failed fits (SingularDesignError 3)"
+                in report.notes)
 
     def test_horizon_bound_enforced(self, sim_system):
         sc = scenario(sim_system, horizon=5)
