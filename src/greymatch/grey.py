@@ -159,25 +159,33 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
     sample range of exogenous forcing.
     """
     times = np.asarray(times, dtype=float)
-    load = _guard_load(a_matrix, t1, times)
+    return _march(_guarded(a_matrix, t1, times), b_matrix, constant, spec, eta,
+                  t1, times)
+
+
+def _guarded(a_matrix, t1, times):
+    """a_matrix with the slices the overflow guard refuses set to 0, after
+    reporting them to errors.fail as OverflowGuardError: the slices where
+    |A|_2 times the largest |t - t1| exceeds RESPONSE_NORM_BUDGET."""
+    if not a_matrix.size:
+        return a_matrix
+    span = float(np.max(np.abs(times - t1), initial=0.0))
+    # the largest singular value, as np.linalg.norm(A, 2) finds it
+    load = np.linalg.svd(a_matrix, compute_uv=False)[..., 0] * span
     refused = load > RESPONSE_NORM_BUDGET
-    if refused.any():
-        fail(refused, OverflowGuardError,
-             f"|A| * span = {np.max(load):.1f} exceeds the stability budget "
-             f"{RESPONSE_NORM_BUDGET}; refusing to exponentiate")
-        a_matrix = np.where(refused[..., None, None], 0.0, a_matrix)
+    if not refused.any():
+        return a_matrix
+    fail(refused, OverflowGuardError,
+         f"|A| * span = {np.max(load):.1f} exceeds the stability budget "
+         f"{RESPONSE_NORM_BUDGET}; refusing to exponentiate")
+    return np.where(refused[..., None, None], 0.0, a_matrix)
+
+
+def _march(a_matrix, b_matrix, constant, spec, eta, t1, times):
+    """linear_response without the overflow guard."""
     exo = spec.exosystem()
     return _numerics.exosystem_response(a_matrix, b_matrix @ exo.output, constant,
                                         exo, eta, t1, times)
-
-
-def _guard_load(a_matrix, t1, times):
-    """|A|_2 times the largest |t - t1|, per slice of a stack of A."""
-    span = float(np.max(np.abs(times - t1), initial=0.0))
-    if not a_matrix.size:
-        return np.zeros(a_matrix.shape[:-2])
-    # the largest singular value, as np.linalg.norm(A, 2) finds it
-    return np.linalg.svd(a_matrix, compute_uv=False)[..., 0] * span
 
 
 def _half_step_forcing_constant(grid, B, spec):
@@ -242,11 +250,10 @@ def select_initial_value(y, A, B, c, spec, strategy):
         return linear_response(A, B, c, spec, y.values[..., -1, :], float(t[-1]),
                                np.array([t1]))[..., 0, :]
     if strategy == "least_squares":
-        # the response is affine in eta: exp(A (t - t1)) eta + forced(t)
-        forced = linear_response(A, B, c, spec, np.zeros_like(c), t1, t)
-        # a slice the guard refused (a masked row) enters with A = 0, as there
-        refused = _guard_load(A, t1, t) > RESPONSE_NORM_BUDGET
-        A = np.where(refused[..., None, None], 0.0, A)
+        # the response is affine in eta: exp(A (t - t1)) eta + forced(t); a
+        # slice the guard refuses (a masked row) enters both with A = 0
+        A = _guarded(A, t1, t)
+        forced = _march(A, B, c, spec, np.zeros_like(c), t1, t)
         design = _numerics.expm(A[..., None, :, :] * (t - t1)[:, None, None])
         stack = forced.shape[:-2]
         return _numerics.solve_least_squares(

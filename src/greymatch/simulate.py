@@ -15,14 +15,19 @@ noise-free.  Fitting errors are scored against the clean trajectory;
 k-step-ahead errors are absolute percentage errors at the k-th held-out
 point.
 
-Engine:  replications are fitted in blocks of REPLICATION_BLOCK.  A block's
-noisy series are stacked along a leading axis (values (R, n, d)) and go
-through fit_grey, fit_matching and predict_on_grid once, in the same code a
-single series takes; each replication gets the numbers it gets alone.  The
-noise of each replication still comes from its own Philox stream.  A
-replication that fails (a singular design, a singular I - A, a response the
-overflow guard refuses) is a masked row of the block, recorded with its
-error class by errors.record_failures, and left out of the metrics.
+Engine:  replications are fitted in blocks of REPLICATION_BLOCK (100).  A
+block's noisy series are stacked along a leading axis (values (R, n, d))
+and go through fit_grey, fit_matching and predict_on_grid once, in the same
+code a single series takes; each replication gets the numbers it gets
+alone.  The noise of replication r comes from its own Philox stream, the
+one of Generator(Philox(SeedSequence(entropy=seed, spawn_key=(r,)))).  The
+Philox keys of a whole block are computed in one vectorised pass of
+numpy's SeedSequence hash, bit for bit, and one reused Philox takes each
+key in turn (counter 0, empty buffer), so no SeedSequence, Philox or
+Generator is built per replication.  A replication that fails (a singular
+design, a singular I - A, a response the overflow guard refuses) is a
+masked row of the block, recorded with its error class by
+errors.record_failures, and left out of the metrics.
 """
 
 from collections import Counter
@@ -72,6 +77,10 @@ class SimulationScenario:
             raise ValueError("snr must be positive")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         span = self.t_span[1] - self.t_span[0]
         count = span / self.step
         if abs(count - round(count)) > 1e-9:
@@ -106,16 +115,71 @@ def noise_sigmas(scenario, clean_in_values):
     return scenario.noise_scale * spread / scenario.snr ** scenario.noise_exponent
 
 
+# numpy's SeedSequence hash (O'Neill's seed_seq mix) and its pool size.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+
+
+def _hashed(words, hash_const, mult):
+    """The seed_seq hash of an array of uint32 words under the running
+    constant hash_const (a Python int); returns it and the next constant."""
+    words = words ^ np.uint32(hash_const)
+    hash_const = hash_const * mult & _MASK32
+    words = words * np.uint32(hash_const)
+    return words ^ (words >> np.uint32(16)), hash_const
+
+
+def _philox_keys(seed, replications):
+    """The Philox keys (len(replications), 2) uint64 that
+    Philox(SeedSequence(entropy=seed, spawn_key=(r,))) takes for each r,
+    bit for bit, computed for all replications in one pass.
+
+    SeedSequence(seed).pool is the pool before the spawn word r is mixed
+    in (numpy pads a spawned sequence's entropy with zeros to the pool
+    size, as an unspawned one hashes zeros); the spawn word then passes
+    through one hashmix and mix per pool word, and generate_state(2,
+    np.uint64) hashes the pool into four words read as two little-endian
+    uint64."""
+    # one spawn word: numpy refuses an r outside [0, 2**32) here
+    spawn = np.asarray(replications, dtype=np.uint32)
+    seed_words = max(1, -(-seed.bit_length() // 32))
+    # hashmix calls made on the seed: one per pool word, one per ordered
+    # pair of pool words, one per pool word for each word beyond the pool
+    calls = _POOL_SIZE * _POOL_SIZE + _POOL_SIZE * max(0, seed_words - _POOL_SIZE)
+    hash_const = _INIT_A * pow(_MULT_A, calls, 1 << 32) & _MASK32
+    state = np.empty((len(spawn), _POOL_SIZE), dtype=np.uint32)
+    hash_b = _INIT_B
+    for i, word in enumerate(np.random.SeedSequence(seed).pool):
+        # mix(word, hashmix(r)), then generate_state's hash of the result
+        mixed, hash_const = _hashed(spawn, hash_const, _MULT_A)
+        mixed = np.uint32(_MIX_MULT_L * int(word) & _MASK32) - _MIX_MULT_R * mixed
+        state[:, i], hash_b = _hashed(mixed ^ (mixed >> np.uint32(16)), hash_b, _MULT_B)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
 def _noisy_series(scenario, clean, sigma, replications):
     """The noisy in-sample series of the given replications, stacked:
     values (len(replications), n, d), each the clean in-sample values plus
     Gaussian noise of per-component standard deviation sigma, drawn from
-    the replication's own counter-based stream."""
+    the replication's own counter-based stream, the stream of
+    Generator(Philox(SeedSequence(entropy=seed, spawn_key=(r,)))).  One
+    Philox is reused: each replication sets its key, counter 0 and an
+    empty buffer, the state a fresh Philox starts from."""
     n, d = scenario.n, scenario.d
     noise = np.empty((len(replications), n, d))
-    for row, replication in zip(noise, replications):
-        seq = np.random.SeedSequence(entropy=scenario.seed, spawn_key=(replication,))
-        np.random.Generator(np.random.Philox(seq)).standard_normal(out=row)
+    bit_generator = np.random.Philox(0)
+    generator = np.random.Generator(bit_generator)
+    state = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for row, key in zip(noise, _philox_keys(scenario.seed, replications)):
+        state["state"]["key"] = key
+        bit_generator.state = state
+        generator.standard_normal(out=row)
     return _series.VectorSeries(_series.TimeGrid(clean.grid.points[:n]),
                                 clean.values[:n] + sigma * noise)
 
@@ -152,10 +216,10 @@ class ReplicationSummary:
     metadata: dict
 
 
-# Replications fitted in one stacked pass.  Beyond a few dozen, larger
-# blocks save little time and cost memory; any block size gives every
-# replication the same numbers.
-REPLICATION_BLOCK = 50
+# Replications fitted in one stacked pass.  Larger blocks cost memory:
+# blocks of 200 raise the peak of a 200-replication cell by about 2 MB over
+# blocks of 100.  Any block size gives every replication the same numbers.
+REPLICATION_BLOCK = 100
 
 
 def _metric_keys(horizons):
@@ -220,15 +284,19 @@ def run_monte_carlo(scenario, horizons=(2, 5, 10)):
                        for key in _metric_keys(horizons)}
     failure_reasons = Counter(error.__name__ for error in failures[~sound])
 
-    parameter_means, parameter_stds, quartiles = {}, {}, {}
+    parameter_means, parameter_stds = {}, {}
     for key in ("grey_A", "matching_A", "grey_eta", "matching_eta"):
         arr = per_replication[key]
         parameter_means[key] = arr.mean(axis=0) if len(arr) else np.array([])
         parameter_stds[key] = arr.std(axis=0, ddof=1) if len(arr) > 1 else np.array([])
-    for key, arr in per_replication.items():
-        if key.endswith("_fit") or "_step" in key:
-            if len(arr):
-                quartiles[key] = np.percentile(arr, QUARTILE_LEVELS, axis=0)
+    scored = [key for key in per_replication
+              if key.endswith("_fit") or "_step" in key]
+    quartiles = {}
+    if sound.any():
+        # one call over the stacked (replications, keys, d) metrics
+        levels = np.percentile(np.stack([per_replication[key] for key in scored], axis=1),
+                               QUARTILE_LEVELS, axis=0)
+        quartiles = dict(zip(scored, levels.swapaxes(0, 1)))
     gap = np.abs(per_replication["grey_A"] - per_replication["matching_A"])
     return ReplicationSummary(
         scenario=scenario,

@@ -347,6 +347,22 @@ class TestSimulate:
         assert "need at least one replication" in json.loads(stderr)["message"]
         assert not (out / "summary.json").exists()
 
+    def test_negative_seed_refused_before_any_work(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "A": [[-0.25, 0.70], [0.75, -0.25]],
+            "initial_state": [1.20, 0.35],
+            "snr": 5.0, "replications": 4, "seed": 4,
+        }))
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                  "--seed", "-1", "--output", str(out))
+        assert code == cli.EXIT_USAGE
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert "seed" in error["message"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("field, value", [
         ("include_constant", "false"),
         ("include_constant", 0),

@@ -270,6 +270,28 @@ class TestStackedFits:
         with pytest.raises(StrategyError, match="slice 1 of the stack"):
             grey.select_initial_value(y, a, b, c, gm.ZeroForcing(), strategy)
 
+    def test_least_squares_guard_masks_its_slice_with_one_check(
+            self, water_train, monkeypatch):
+        y = gm.cusum(water_train)
+        a = np.array([[[-0.2]], [[30.0]], [[0.1]]])  # |A| * span > 50 in slice 1
+        b, c = np.zeros((3, 1, 0)), np.array([[1.5], [2.0], [0.5]])
+        checks = []
+        guarded = grey._guarded
+        monkeypatch.setattr(grey, "_guarded",
+                            lambda *args: checks.append(1) or guarded(*args))
+        with record_failures(3) as failed:
+            eta = grey.select_initial_value(y, a, b, c, gm.ZeroForcing(),
+                                            "least_squares")
+        assert len(checks) == 1
+        assert list(failed) == [None, OverflowGuardError, None]
+        assert np.isfinite(eta).all()
+        for k in (0, 2):
+            one = grey.select_initial_value(y, a[k], b[k], c[k], gm.ZeroForcing(),
+                                            "least_squares")
+            assert np.array_equal(eta[k], one)
+        with pytest.raises(OverflowGuardError, match="slice 1 of the stack"):
+            grey.select_initial_value(y, a, b, c, gm.ZeroForcing(), "least_squares")
+
     def test_guard_refuses_only_its_slice(self):
         a = np.array([[[-0.2]], [[3.0]], [[0.1]]])  # |A| * span = 3 * 20 in slice 1
         b, c, eta = np.zeros((3, 1, 0)), np.ones((3, 1)), np.ones((3, 1))

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,16 @@ class TestScenario:
         sc = scenario(sim_system, step=0.25)
         assert sc.n == 21
         assert len(sc.times()) == 31
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True, "4"])
+    def test_seed_must_be_a_non_negative_integer(self, sim_system, seed):
+        with pytest.raises(ValueError, match="seed"):
+            scenario(sim_system, seed=seed)
+
+    def test_numpy_integer_seed_is_a_python_int(self, sim_system):
+        sc = scenario(sim_system, seed=np.int64(4), replications=1)
+        assert type(sc.seed) is int
+        json.dumps(simulate.summary_to_dict(gm.run_monte_carlo(sc)))
 
     def test_step_must_divide_span(self, sim_system):
         with pytest.raises(ValueError):
@@ -59,6 +71,41 @@ class TestGenerateTrajectory:
         _, noisy0 = gm.generate_trajectory(sc, replication=0)
         _, noisy1 = gm.generate_trajectory(sc, replication=1)
         assert not np.array_equal(noisy0.values, noisy1.values)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**140 + 77]
+
+
+def seed_sequence(seed, replication):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
+
+
+class TestNoiseStreams:
+    # 2**140 + 77 has five entropy words, one beyond numpy's pool of four
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("replications", [range(300), range(50, 150)])
+    def test_keys_are_the_spawned_seed_sequence_keys(self, seed, replications):
+        keys = simulate._philox_keys(seed, replications)
+        want = np.array([seed_sequence(seed, r).generate_state(2, np.uint64)
+                         for r in replications])
+        assert keys.dtype == np.uint64
+        assert np.array_equal(keys, want)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_are_the_spawned_philox_draws(self, sim_system, seed):
+        sc = scenario(sim_system, seed=seed)
+        clean = simulate._clean_trajectory(sc)
+        sigma = np.ones(sc.d)
+        replications = range(95, 105)
+        noisy = simulate._noisy_series(sc, clean, sigma, replications)
+        for row, r in zip(noisy.values, replications):
+            draw = np.random.Generator(np.random.Philox(seed_sequence(seed, r))
+                                       ).standard_normal((sc.n, sc.d))
+            assert np.array_equal(row, clean.values[:sc.n] + draw), r
+
+    def test_replication_beyond_one_word_is_refused(self):
+        with pytest.raises(OverflowError):
+            simulate._philox_keys(0, [2**32])
 
 
 class TestRunMonteCarlo:
@@ -106,11 +153,13 @@ class TestRunMonteCarlo:
                     got = summary.per_replication[f"{name}_{metric}"][k]
                     assert np.array_equal(got, value), (k, name, metric)
 
-    @pytest.mark.parametrize("short", [7, 60])
+    @pytest.mark.parametrize("short", [7, simulate.REPLICATION_BLOCK + 10])
     def test_fewer_replications_give_the_leading_rows(self, sim_system, short):
-        # 60 replications cross the first block boundary, as 120 do twice
-        assert simulate.REPLICATION_BLOCK < 60 < 2 * simulate.REPLICATION_BLOCK
-        full = gm.run_monte_carlo(scenario(sim_system, replications=120, seed=9))
+        # the short runs cross no block boundary and one, the full run two
+        block = simulate.REPLICATION_BLOCK
+        size = 2 * block + 20
+        assert [(reps - 1) // block for reps in (7, block + 10, size)] == [0, 1, 2]
+        full = gm.run_monte_carlo(scenario(sim_system, replications=size, seed=9))
         part = gm.run_monte_carlo(scenario(sim_system, replications=short, seed=9))
         assert full.per_replication.keys() == part.per_replication.keys()
         for key, arr in full.per_replication.items():
