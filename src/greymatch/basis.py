@@ -246,6 +246,23 @@ def config_field(config, key, default, kinds, expected, owner="config"):
     return value
 
 
+def _json_numbers(value):
+    """Whether value is a JSON number or nested lists of them; true and
+    false do not count as numbers."""
+    if isinstance(value, (list, tuple)):
+        return all(map(_json_numbers, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def config_array(config, key, owner="config"):
+    """config[key] as a float array; ValueError naming the field unless it
+    holds JSON numbers or nested lists of them."""
+    value = config[key]
+    if not _json_numbers(value):
+        raise ValueError(f"{owner} field {key!r} must hold only numbers, got {value!r}")
+    return np.array(value, dtype=float)
+
+
 def spec_to_config(spec):
     """JSON-serializable description of a forcing spec."""
     if isinstance(spec, ZeroForcing):
@@ -270,7 +287,8 @@ def spec_from_config(config):
 
     Raises ValueError, not a TypeError or AttributeError, when the config
     is not a JSON object or a field has a type its kind cannot take:
-    degree and pairs must be JSON integers, frequency a number.
+    degree and pairs must be JSON integers, frequency a number, times and
+    values JSON numbers or lists of them.
     """
     if not isinstance(config, dict):
         raise ValueError(f"forcing config must be a JSON object, got {config!r}")
@@ -282,23 +300,17 @@ def spec_from_config(config):
         if not isinstance(parts, list):
             raise ValueError(f"mixed forcing 'parts' must be a list, got {parts!r}")
         return MixedForcing(tuple(spec_from_config(p) for p in parts))
-    try:
-        if kind == "polynomial":
-            return PolynomialForcing(config_field(config, "degree", None, (int,),
-                                                  "an integer", "polynomial forcing"))
-        if kind == "fourier":
-            return FourierForcing(
-                config_field(config, "pairs", None, (int,), "an integer",
-                             "fourier forcing"),
-                float(config_field(config, "frequency", None, (int, float),
-                                   "a number", "fourier forcing")))
-        if kind == "exogenous":
-            from .series import make_series
-
-            return ExogenousForcing(
-                make_series(np.array(config["times"]), np.array(config["values"]))
-            )
-    except TypeError as exc:
-        raise ValueError(f"{kind} forcing config has a field of the wrong "
-                         f"type: {exc}") from exc
+    if kind == "polynomial":
+        return PolynomialForcing(config_field(config, "degree", None, (int,),
+                                              "an integer", "polynomial forcing"))
+    if kind == "fourier":
+        return FourierForcing(
+            config_field(config, "pairs", None, (int,), "an integer",
+                         "fourier forcing"),
+            float(config_field(config, "frequency", None, (int, float),
+                               "a number", "fourier forcing")))
+    if kind == "exogenous":
+        return ExogenousForcing(VectorSeries(
+            TimeGrid(config_array(config, "times", "exogenous forcing")),
+            config_array(config, "values", "exogenous forcing")))
     raise ValueError(f"unknown forcing kind {kind!r}")

@@ -98,50 +98,45 @@ def cmd_forecast(args):
     grid = data.grid.extended(args.horizon)
     predictions = _grey.predict_on_grid(model, grid)
     names = [f"x{i + 1}_hat" for i in range(predictions.d)]
-    if args.output:
-        _series.write_csv(args.output, predictions, names)
-    else:
-        writer = _csv.writer(sys.stdout)
-        writer.writerow(["t", *names])
-        for t, row in zip(predictions.grid.points, predictions.values):
-            writer.writerow([repr(float(t)), *[repr(float(v)) for v in row]])
+    _series.write_csv(args.output or sys.stdout, predictions, names)
     return EXIT_OK
 
 
 def cmd_simulate(args):
     payload = _load_json(args.scenario)
 
-    def integer(key, default):
-        return _basis.config_field(payload, key, default, (int,), "an integer",
-                                   "scenario")
+    def field(key, kinds, expected, default=None):
+        return _basis.config_field(payload, key, default, kinds, expected, "scenario")
 
-    def number(key, default):
-        return float(_basis.config_field(payload, key, default, (int, float),
-                                         "a number", "scenario"))
+    def integer(key, default=None):
+        return field(key, (int,), "an integer", default)
 
-    t_span = _basis.config_field(payload, "t_span", [0.0, 5.0], (list,),
-                                 "a list of two numbers", "scenario")
-    if len(t_span) != 2 or not all(isinstance(v, (int, float))
-                                   and not isinstance(v, bool) for v in t_span):
-        raise ValueError("scenario field 't_span' must be a list of two "
-                         f"numbers, got {t_span!r}")
+    def number(key):
+        return float(field(key, (int, float), "a number"))
+
+    def array(key):
+        return _basis.config_array(payload, key, "scenario")
+
+    def pair(key):
+        if array(key).shape != (2,):
+            raise ValueError(f"scenario field {key!r} must be a list of two "
+                             f"numbers, got {payload[key]!r}")
+        return tuple(array(key).tolist())
+
+    # a field the file leaves out takes SimulationScenario's default
+    readers = {"forcing": lambda key: _basis.spec_from_config(payload[key]),
+               "B": array, "constant": array, "t_span": pair, "step": number,
+               "horizon": integer, "noise_exponent": number, "noise_scale": number,
+               "include_constant": lambda key: field(key, (bool,), "true or false")}
+    options = {("b_matrix" if key == "B" else key): read(key)
+               for key, read in readers.items() if key in payload}
     scenario = _simulate.SimulationScenario(
-        a_matrix=np.array(payload["A"], dtype=float),
-        initial_state=np.array(payload["initial_state"], dtype=float),
-        snr=number("snr", None),
+        a_matrix=array("A"),
+        initial_state=array("initial_state"),
+        snr=number("snr"),
         replications=_given(args.reps, integer("replications", 200)),
         seed=_given(args.seed, integer("seed", 0)),
-        forcing=_basis.spec_from_config(payload.get("forcing", {"kind": "zero"})),
-        b_matrix=np.array(payload["B"], dtype=float) if "B" in payload else None,
-        constant=np.array(payload["constant"], dtype=float)
-        if "constant" in payload else None,
-        t_span=tuple(t_span),
-        step=number("step", 0.25),
-        horizon=integer("horizon", 10),
-        noise_exponent=number("noise_exponent", 2.0),
-        noise_scale=number("noise_scale", 1.10),
-        include_constant=_basis.config_field(payload, "include_constant", False,
-                                              (bool,), "true or false", "scenario"),
+        **options,
     )
     summary = _simulate.run_monte_carlo(scenario)
     out_dir = Path(args.output or ".")

@@ -159,8 +159,10 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
     sample range of exogenous forcing.
     """
     times = np.asarray(times, dtype=float)
-    return _march(_guarded(a_matrix, t1, times), b_matrix, constant, spec, eta,
-                  t1, times)
+    exo = spec.exosystem()
+    return _numerics.exosystem_response(_guarded(a_matrix, t1, times),
+                                        b_matrix @ exo.output, constant, exo, eta,
+                                        t1, times)
 
 
 def _guarded(a_matrix, t1, times):
@@ -179,13 +181,6 @@ def _guarded(a_matrix, t1, times):
          f"|A| * span = {np.max(load):.1f} exceeds the stability budget "
          f"{RESPONSE_NORM_BUDGET}; refusing to exponentiate")
     return np.where(refused[..., None, None], 0.0, a_matrix)
-
-
-def _march(a_matrix, b_matrix, constant, spec, eta, t1, times):
-    """linear_response without the overflow guard."""
-    exo = spec.exosystem()
-    return _numerics.exosystem_response(a_matrix, b_matrix @ exo.output, constant,
-                                        exo, eta, t1, times)
 
 
 def _half_step_forcing_constant(grid, B, spec):
@@ -209,10 +204,14 @@ def select_initial_value(y, A, B, c, spec, strategy):
     """Choose the integration constant eta for the fitted structure.
 
     fixed_first anchors at the first cusum value, fixed_last at the final
-    one, least_squares minimizes the cusum-scale squared error (a linear
-    problem since the response is affine in eta), and reduced_consistent
-    takes the value implied by the equivalent reduced-order model,
-    (I - A)^{-1} (c + B u(t1)).
+    one, least_squares minimizes the cusum-scale squared error, and
+    reduced_consistent takes the value implied by the equivalent
+    reduced-order model, (I - A)^{-1} (c + B u(t1)).
+
+    The response is affine in eta, so least_squares is a linear fit: one
+    march of d + 1 systems gives column j of exp(A (t - t1)) from e_j
+    unforced and the forced part from 0 with B u + c.  A slice the
+    overflow guard refuses is a masked row, marched with A = 0.
 
     reduced_half_step solves (I - A) eta = c + B u(t1) + c~, where c~ is the
     constant term (value at t = 0) of the reduced-order forcing
@@ -250,15 +249,18 @@ def select_initial_value(y, A, B, c, spec, strategy):
         return linear_response(A, B, c, spec, y.values[..., -1, :], float(t[-1]),
                                np.array([t1]))[..., 0, :]
     if strategy == "least_squares":
-        # the response is affine in eta: exp(A (t - t1)) eta + forced(t); a
-        # slice the guard refuses (a masked row) enters both with A = 0
         A = _guarded(A, t1, t)
-        forced = _march(A, B, c, spec, np.zeros_like(c), t1, t)
-        design = _numerics.expm(A[..., None, :, :] * (t - t1)[:, None, None])
-        stack = forced.shape[:-2]
+        stack = A.shape[:-2]
+        exo = spec.exosystem()
+        is_forced = np.arange(d + 1)[:, None] == d
+        z = _numerics.exosystem_response(
+            np.broadcast_to(A[..., None, :, :], stack + (d + 1, d, d)),
+            np.where(is_forced[:, None], (B @ exo.output)[..., None, :, :], 0.0),
+            np.where(is_forced, c[..., None, :], 0.0), exo,
+            np.broadcast_to(np.eye(d + 1, d), stack + (d + 1, d)), t1, t)
         return _numerics.solve_least_squares(
-            design.reshape(stack + (-1, d)),
-            (y.values - forced).reshape(stack + (-1,))).coefficients
+            np.moveaxis(z[..., :d, :, :], -3, -1).reshape(stack + (-1, d)),
+            (y.values - z[..., d, :, :]).reshape(stack + (-1,))).coefficients
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -315,23 +317,13 @@ def model_to_dict(model):
     return payload
 
 
-def _json_numbers(value):
-    """Whether value is a JSON number or nested lists of them; true and
-    false do not count as numbers."""
-    if isinstance(value, (list, tuple)):
-        return all(map(_json_numbers, value))
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _checked_array(key, value, shape=None):
     """A model-file field as a float array of the given shape (any shape
     when None) with finite entries; DataError names the field otherwise."""
     try:
-        array = np.array(value, dtype=float)
-    except (TypeError, ValueError):  # a non-number or ragged nesting
-        array = None
-    if array is None or not _json_numbers(value):
-        raise DataError(f"model field {key!r} is not numeric")
+        array = _basis.config_array({key: value}, key)
+    except ValueError:  # a non-number or ragged nesting
+        raise DataError(f"model field {key!r} is not numeric") from None
     if shape is not None and array.shape != shape:
         raise DataError(f"model field {key!r} has shape {array.shape}; "
                         f"expected {shape}")

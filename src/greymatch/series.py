@@ -12,6 +12,7 @@ the time axis of each, so a single series is the one-slice case.
 """
 
 import csv as _csv
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,8 +75,8 @@ class VectorSeries:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        if vals.ndim == 1:
-            vals = vals[:, None]
+        if vals.ndim < 2:
+            vals = vals.reshape(-1, 1)
         if vals.shape[-2] != len(self.grid):
             raise ValueError(
                 f"series has {vals.shape[-2]} rows but grid has {len(self.grid)} points"
@@ -200,12 +201,14 @@ def read_csv(path):
         raise CsvFormatError(f"line 2: {exc}") from exc
 
 
-def write_csv(path, series, column_names=None):
-    """Write a series as CSV with header `t,<names>`."""
+def write_csv(target, series, column_names=None):
+    """Write a series as CSV with header `t,<names>` to a path or to an open
+    text stream."""
     names = column_names or [f"x{i + 1}" for i in range(series.d)]
     if len(names) != series.d:
         raise ValueError("one column name per component required")
-    with open(path, "w", newline="") as fh:
+    is_stream = hasattr(target, "write")
+    with nullcontext(target) if is_stream else open(target, "w", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["t", *names])
         for t, row in zip(series.grid.points, series.values):

@@ -64,15 +64,9 @@ class SimulationScenario:
     include_constant: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "a_matrix", np.asarray(self.a_matrix, dtype=float))
-        object.__setattr__(self, "initial_state",
-                           np.asarray(self.initial_state, dtype=float))
-        if self.b_matrix is not None:
-            object.__setattr__(self, "b_matrix",
-                               np.asarray(self.b_matrix, dtype=float))
-        if self.constant is not None:
-            object.__setattr__(self, "constant",
-                               np.asarray(self.constant, dtype=float))
+        for name in ("a_matrix", "initial_state", "b_matrix", "constant"):
+            if (value := getattr(self, name)) is not None:
+                object.__setattr__(self, name, np.asarray(value, dtype=float))
         if self.snr <= 0:
             raise ValueError("snr must be positive")
         if self.replications < 1:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import greymatch as gm
-from greymatch import cli, repro
+from greymatch import cli, repro, simulate
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +140,34 @@ class TestFit:
         error = json.loads(stderr)
         assert error["error"] == "ValueError"
         assert named in error["message"]
+
+    @pytest.mark.parametrize("field, value, named", [
+        ("times", [str(k) for k in range(1, 15)], "'times'"),
+        ("times", [True] * 14, "'times'"),
+        ("values", [[True]] * 14, "'values'"),
+        ("values", [["1.5"]] * 14, "'values'"),
+        ("values", 5, "1 rows but grid has 14 points"),
+    ], ids=["times-string", "times-bool", "values-bool", "values-string",
+            "values-scalar"])
+    @pytest.mark.parametrize("surface", ["config", "header"])
+    def test_exogenous_samples_must_be_numbers(self, capsys, tmp_path, water_csv,
+                                               field, value, named, surface):
+        forcing = {"kind": "exogenous", "times": list(range(1, 15)),
+                   "values": [[float(k)] for k in range(14)], field: value}
+        path, out = tmp_path / "model.json", tmp_path / "fitted.json"
+        if surface == "config":
+            path.write_text(json.dumps({"model": "grey", "forcing": forcing}))
+            argv = ("fit", "--input", str(water_csv), "--output", str(out))
+        else:
+            header = {**TestForecast.VALID["matching"], "forcing": forcing}
+            path.write_text(json.dumps(header))
+            argv = ("forecast", "--input", str(water_csv))
+        code, stdout, stderr = run_cli(capsys, *argv, "--model", str(path))
+        assert code == cli.EXIT_USAGE
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert named in error["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("forcing, named", [
         ({"kind": "polynomial", "degree": 2.5}, "'degree'"),
@@ -378,6 +406,10 @@ class TestSimulate:
         ("t_span", [0.0]),
         ("t_span", "0, 5"),
         ("t_span", [0.0, "5.0"]),
+        ("A", [["-0.25", True], [0.75, -0.25]]),
+        ("initial_state", ["1.2", 0.35]),
+        ("B", [[True]]),
+        ("constant", ["0.5", 0.5]),
     ])
     def test_wrongly_typed_scenario_is_a_usage_error(self, capsys, tmp_path,
                                                      field, value):
@@ -395,6 +427,20 @@ class TestSimulate:
         assert error["error"] == "ValueError"
         assert repr(field) in error["message"]
         assert not (out / "summary.json").exists()
+
+
+    def test_absent_fields_take_the_library_defaults(self, capsys, tmp_path):
+        a, state = [[-0.25, 0.70], [0.75, -0.25]], [1.20, 0.35]
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({"A": a, "initial_state": state, "snr": 5.0}))
+        out = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                             "--reps", "3", "--output", str(out))
+        assert code == cli.EXIT_OK
+        library = gm.run_monte_carlo(gm.SimulationScenario(
+            a_matrix=a, initial_state=state, snr=5.0, replications=3, seed=0))
+        assert (out / "summary.json").read_text() == json.dumps(
+            simulate.summary_to_dict(library), indent=2) + "\n"
 
 
 class TestVerify:

@@ -239,6 +239,22 @@ class TestStackedFits:
                 assert np.array_equal(getattr(model, field)[k],
                                       getattr(one, field)), (k, field)
 
+    @pytest.mark.parametrize("kind", ["polynomial", "exogenous"])
+    def test_forced_least_squares_slices_are_single_fits(self, kind):
+        raw = self.stack()
+        t = raw.grid.points
+        spec = gm.PolynomialForcing(2) if kind == "polynomial" \
+            else gm.ExogenousForcing(gm.make_series(t, np.sqrt(t)))
+        with record_failures(3) as failed:
+            model = gm.fit_grey(raw, spec, "least_squares")
+        assert list(failed) == [None, SingularDesignError, None]
+        for k in (0, 2):
+            one = gm.fit_grey(gm.VectorSeries(raw.grid, raw.values[k]), spec,
+                              "least_squares")
+            for field in ("A", "B", "c", "eta"):
+                assert np.array_equal(getattr(model, field)[k],
+                                      getattr(one, field)), (k, field)
+
     def test_matching_slices_are_single_fits(self):
         raw = self.stack()
         spec = gm.PolynomialForcing(1)

@@ -1,6 +1,7 @@
-"""Differential tests of grey.linear_response against an independent
-integrator: scipy's DOP853 at rtol = atol = 1e-12 (tests.conftest.ode_oracle),
-over random stable systems, every forcing kind and both time directions."""
+"""Differential tests of grey.linear_response and the least_squares initial
+value against an independent integrator: scipy's DOP853 at rtol = atol =
+1e-12 (tests.conftest.ode_oracle), over random stable systems, every forcing
+kind and both time directions."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import greymatch as gm
-from greymatch.grey import linear_response
+from greymatch.grey import linear_response, select_initial_value
 from tests.conftest import make_stable_system, ode_oracle
 
 KINDS = ("zero", "polynomial", "fourier", "exogenous", "mixed")
@@ -143,3 +144,28 @@ def test_stacked_response_matches_solve_ivp(kind):
         assert np.abs(got[k] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
         alone = linear_response(a[k], b[k], c[k], spec, eta[k], t1, times)
         assert np.array_equal(got[k], alone)
+
+
+@pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "uneven"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("kind", KINDS)
+def test_least_squares_initial_value_matches_solve_ivp(kind, d, uniform):
+    # the same linear fit with its columns exp(A (t - t1)) e_j integrated
+    # by DOP853 from e_j with no forcing, and its forced part from 0
+    rng = np.random.default_rng([KINDS.index(kind), d, uniform])
+    n = 15
+    steps = np.full(n - 1, 0.3) if uniform else rng.uniform(0.1, 0.6, size=n - 1)
+    t = 1.0 + np.concatenate([[0.0], np.cumsum(steps)])
+    spec = random_spec(rng, kind, t[0], t[-1])
+    a = make_stable_system(rng, d)
+    b = rng.normal(size=(d, spec.dimension))
+    c = rng.normal(size=d)
+    truth = oracle(a, b, c, spec, rng.uniform(1.0, 2.0, size=d), t[0], t)
+    y = gm.make_series(t, truth + 0.1 * rng.normal(size=truth.shape))
+    got = select_initial_value(y, a, b, c, spec, "least_squares")
+    columns = np.stack([oracle(a, np.zeros((d, 0)), np.zeros(d), gm.ZeroForcing(),
+                               e, t[0], t) for e in np.eye(d)], axis=-1)
+    forced = oracle(a, b, c, spec, np.zeros(d), t[0], t)
+    want = np.linalg.lstsq(columns.reshape(-1, d), (y.values - forced).reshape(-1),
+                           rcond=None)[0]
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
