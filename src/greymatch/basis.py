@@ -8,9 +8,15 @@ exosystem w' = S w, u = C w, through which time responses are propagated
 exactly and from which the derivative u' = C S w is read.  The constant term
 is not a basis component: the grey pipeline always carries it separately and
 the matching pipeline attaches it explicitly.
+
+A spec is treated as immutable: it builds its exosystem on the first call
+of `exosystem()` and keeps it, outside its dataclass fields, so equality,
+repr and serialization see only the fields, and a `dataclasses.replace`
+copy builds its own.
 """
 
 from dataclasses import dataclass, field
+from functools import wraps
 from math import factorial, pi
 from typing import Callable
 
@@ -25,10 +31,13 @@ class Exosystem:
     """Forcing written as the output u = C w of a linear system w' = S w.
 
     `state(t, forward)` returns w(t) for a march that leaves t forward
-    (or backward) in time.  Sampled forcing is linear between its samples,
-    so its state, the value and the slope of u, holds only up to the next
-    knot and is re-read there; `domain` bounds the times where it is
-    defined.
+    (or backward) in time: shape (m,) for a scalar t, and one row per time,
+    (..., m), for an array of times.  Sampled forcing is linear between its
+    samples, so its state, the value and the slope of u, holds only up to
+    the next knot; re-reading w there means replacing it by
+    state(t, forward), which differs from state(t, not forward), the state
+    the march arrives with, by the change of slope.  `domain` bounds the
+    times where it is defined.
     """
 
     generator: np.ndarray
@@ -53,9 +62,30 @@ def _block_diagonal(blocks):
     return out
 
 
+def _built_once(build):
+    """An exosystem() method that builds on the first call and keeps the
+    result on the spec, outside its fields."""
+
+    @wraps(build)
+    def exosystem(self):
+        if "_exosystem" not in self.__dict__:
+            object.__setattr__(self, "_exosystem", build(self))
+        return self._exosystem
+
+    return exosystem
+
+
+def _times(t):
+    """t as a float array, with a trailing axis for the state components."""
+    return np.asarray(t, dtype=float)[..., None]
+
+
 @dataclass(frozen=True)
 class ZeroForcing:
-    """No forcing input (autonomous model)."""
+    """No forcing input (autonomous model).
+
+    Treated as immutable: its exosystem is built once and kept.
+    """
 
     @property
     def dimension(self):
@@ -67,14 +97,18 @@ class ZeroForcing:
     def antiderivatives(self, times):
         return np.zeros((len(np.atleast_1d(times)), 0))
 
+    @_built_once
     def exosystem(self):
         return Exosystem(np.zeros((0, 0)), np.zeros((0, 0)),
-                         lambda t, forward=True: np.zeros(0))
+                         lambda t, forward=True: np.zeros(np.shape(t) + (0,)))
 
 
 @dataclass(frozen=True)
 class PolynomialForcing:
-    """Monomial basis u_i(t) = t^i for i = 1..degree (constant excluded)."""
+    """Monomial basis u_i(t) = t^i for i = 1..degree (constant excluded).
+
+    Treated as immutable: its exosystem is built once and kept.
+    """
 
     degree: int
 
@@ -97,18 +131,22 @@ class PolynomialForcing:
             [t ** (i + 1) / (i + 1) for i in range(1, self.degree + 1)]
         )
 
+    @_built_once
     def exosystem(self):
         # w_j = t^j / j! for j = 0..degree: w_j' = w_{j-1} and u_i = i! w_i.
         scale = np.array([factorial(j) for j in range(self.degree + 1)], dtype=float)
         powers = np.arange(self.degree + 1)
         return Exosystem(np.eye(self.degree + 1, k=-1),
                          np.eye(self.degree, self.degree + 1, k=1) * scale,
-                         lambda t, forward=True: t ** powers / scale)
+                         lambda t, forward=True: _times(t) ** powers / scale)
 
 
 @dataclass(frozen=True)
 class FourierForcing:
-    """Interleaved pairs u_{2i-1} = sin(2 i pi f t), u_{2i} = cos(2 i pi f t)."""
+    """Interleaved pairs u_{2i-1} = sin(2 i pi f t), u_{2i} = cos(2 i pi f t).
+
+    Treated as immutable: its exosystem is built once and kept.
+    """
 
     pairs: int
     frequency: float
@@ -142,17 +180,23 @@ class FourierForcing:
             cols.append(np.sin(w * t) / w)
         return np.column_stack(cols)
 
+    @_built_once
     def exosystem(self):
         # Each pair (sin wt, cos wt) turns as w' = [[0, w], [-w, 0]] w.
         rotation = np.kron(np.diag(self._omegas()), [[0.0, 1.0], [-1.0, 0.0]])
         return Exosystem(rotation, np.eye(self.dimension),
-                         lambda t, forward=True: self.values(t)[0])
+                         lambda t, forward=True: self.values(t).reshape(
+                             np.shape(t) + (self.dimension,)))
 
 
 @dataclass(frozen=True)
 class ExogenousForcing:
     """Forcing sampled from an observed series; values between samples are
-    linearly interpolated when a continuous evaluation is required."""
+    linearly interpolated when a continuous evaluation is required.
+
+    Treated as immutable: its exosystem is built once and kept, so the
+    series' arrays are not to be changed in place afterwards.
+    """
 
     series: VectorSeries
 
@@ -181,6 +225,7 @@ class ExogenousForcing:
         sampled = VectorSeries(TimeGrid(t), self.values(t))
         return integrate_piecewise_linear(sampled).values
 
+    @_built_once
     def exosystem(self):
         # w = (u, du/dt), with du/dt constant between samples: every sample
         # time is a knot where the slope changes.
@@ -189,11 +234,14 @@ class ExogenousForcing:
         p = self.dimension
         slopes = np.vstack([np.diff(values, axis=0) / np.diff(own)[:, None],
                             np.zeros((1, p))])
+        # w(t) = at_sample[k] + rate[k] (t - own[k]) on the piece from sample k
+        at_sample = np.hstack([values, slopes])
+        rate = np.hstack([slopes, np.zeros_like(slopes)])
 
         def state(t, forward=True):
             k = np.searchsorted(own, t, side="right" if forward else "left") - 1
-            k = min(max(k, 0), len(own) - 1)
-            return np.concatenate([values[k] + slopes[k] * (t - own[k]), slopes[k]])
+            k = np.maximum(k, 0)
+            return at_sample[k] + rate[k] * (_times(t) - own[k, None])
 
         return Exosystem(np.kron([[0.0, 1.0], [0.0, 0.0]], np.eye(p)),
                          np.eye(p, 2 * p), state, knots=own,
@@ -202,7 +250,10 @@ class ExogenousForcing:
 
 @dataclass(frozen=True)
 class MixedForcing:
-    """Concatenation of several forcing specs."""
+    """Concatenation of several forcing specs.
+
+    Treated as immutable: its exosystem is built once and kept.
+    """
 
     parts: tuple
 
@@ -221,17 +272,18 @@ class MixedForcing:
     def antiderivatives(self, times):
         return np.column_stack([p.antiderivatives(times) for p in self.parts])
 
+    @_built_once
     def exosystem(self):
         parts = [p.exosystem() for p in self.parts]
 
         def state(t, forward=True):
-            return np.concatenate([e.state(t, forward) for e in parts])
+            return np.concatenate([e.state(t, forward) for e in parts], axis=-1)
 
         return Exosystem(
             _block_diagonal([e.generator for e in parts]),
             _block_diagonal([e.output for e in parts]),
             state,
-            knots=np.unique(np.concatenate([e.knots for e in parts])),
+            knots=np.sort(np.concatenate([e.knots for e in parts])),
             domain=(max(e.domain[0] for e in parts), min(e.domain[1] for e in parts)),
         )
 

@@ -11,11 +11,14 @@ along a leading axis, one per slice (a Monte Carlo block of replications),
 and does the same operations on each slice as a call on it alone, so a
 single problem is the one-slice case: `solve_least_squares` solves a stack
 of designs by one stacked SVD, `expm` exponentiates a stack of matrices,
-and the response march moves a stack of states through a run of equally
-spaced times by doubling, in a few stacked products.  A slice that fails
-is reported through errors.fail.
+and the response march moves a stack of states through each run of equal
+steps with one step exponential, by doubling, in a few stacked products;
+the knots of sampled forcing inside a run enter as kicks of one prefix
+scan, so the march makes no stop per knot.  A slice that fails is reported
+through errors.fail.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial, prod
 
@@ -189,19 +192,39 @@ def simpson_integral(fn_of_times, a, b, steps):
     return (b - a) / (3.0 * panels) * (weights[:, None] * values).sum(axis=0)
 
 
-def _march(step, state, count):
-    """step^1 state, ..., step^count state for a stack of step matrices
-    and states, shape (..., count, D).  Doubling on the states: once the
-    first m states are made, the power step^m maps them to the next m in
-    one stacked product, and is then squared; about 2 log2(count) products
-    in all, and no stack of powers held in memory."""
-    states = state[..., None, :] @ step.swapaxes(-1, -2)
-    power = step
-    while (made := states.shape[-2]) < count:
-        if made > 1:
+def _march(step, state, count, kicks=None):
+    """States s_1, ..., s_count of s_k = step s_(k-1) + kicks_k from
+    s_0 = state, for a stack of step matrices and states: shape
+    (..., count, D); kicks (count, D) is shared by the stack, or
+    (..., count, D) gives each slice its own.
+
+    Without kicks, doubling on the states: once the first m states are
+    made, the power step^m maps them to the next m in one stacked product,
+    and is then squared; about 2 log2(count) products in all, and no stack
+    of powers held in memory.  With kicks, the doubling (prefix) scan of
+    the affine recurrence (Blelloch, "Prefix sums and their applications",
+    1990): row k starts as kick k (row 1 also takes step s_0), and the
+    round with power step^r adds step^r times row k - r, after which row k
+    sums step^(k-j) kick_j over its last 2r inputs; about log2(count)
+    rounds of one stacked product and one squaring finish every row.
+    """
+    if kicks is None:
+        states = state[..., None, :] @ step.swapaxes(-1, -2)
+        power = step
+        while (made := states.shape[-2]) < count:
+            if made > 1:
+                power = power @ power
+            ahead = states[..., :count - made, :] @ power.swapaxes(-1, -2)
+            states = np.concatenate([states, ahead], axis=-2)
+        return states
+    states = np.broadcast_to(kicks, state.shape[:-1] + kicks.shape[-2:]).copy()
+    states[..., :1, :] += state[..., None, :] @ step.swapaxes(-1, -2)
+    power, reach = step, 1
+    while reach < count:
+        states[..., reach:, :] += states[..., :-reach, :] @ power.swapaxes(-1, -2)
+        reach *= 2
+        if reach < count:
             power = power @ power
-        ahead = states[..., :count - made, :] @ power.swapaxes(-1, -2)
-        states = np.concatenate([states, ahead], axis=-2)
     return states
 
 
@@ -213,12 +236,19 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     z and w march together through exp([[A, G, c], [0, S, 0], [0, 0, 0]] dt)
     (Van Loan, IEEE TAC 23(3), 1978), so no quadrature error enters.  The
     march runs outward from t1, forward to later times and backward to
-    earlier ones, and re-reads w at each knot of the exosystem on the way.
-    A step exponential P is reused while the steps agree to UNIFORM_RTOL.
-    A run of k equally spaced times with no knot between them is marched by
-    doubling (P s, P^2 s, ..., P^k s in about 2 log2(k) stacked products),
-    so equally spaced times cost one exponential.  Times outside the
-    exosystem's domain raise AlignmentError.
+    earlier ones.  Each direction merges its times and the exosystem's
+    knots between t1 and its farthest time into one sorted list of stops
+    (a knot at a target time is one stop) and marches each run of equal
+    gaps, equal to UNIFORM_RTOL, with one step exponential P and one
+    _march, however many times and knots the run holds.  Without a knot
+    in the way, the whole state is marched by doubling: P s, P^2 s, ...,
+    P^k s in about 2 log2(k) stacked products.  Across knots, w is re-read
+    (basis.Exosystem) as it leaves t1 and every stop, all in one call, and
+    the step response of z to each re-read forcing state becomes a kick:
+    z alone is marched by the prefix scan z_k = P_zz z_(k-1) + kick_k.  The
+    kicks are small single-step responses, so no large ramps cancel, and
+    the result agrees with stopping at each knot to round-off.  Times
+    outside the exosystem's domain raise AlignmentError.
 
     A, G, c and eta may carry a leading stack axis, one system per slice
     (a_matrix (R, d, d), eta (R, d), ...), which all march over the same
@@ -261,33 +291,49 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
             continue
         reach = sign * (knots - t1)
         inner = knots[(reach > 0) & (reach < (sign * (times[targets] - t1)).max())]
-        # a knot sorts before a target at the same time; z is continuous there
-        stop_times = np.concatenate([inner, times[targets]])
-        stop_index = np.concatenate([np.full(len(inner), -1), targets])
-        order = np.argsort(sign * stop_times, kind="stable")
-        stops, kinds = stop_times[order], stop_index[order]
-        gaps = stops - np.concatenate([[t1], stops[:-1]])
-        state = np.concatenate([
-            eta, np.broadcast_to(exosystem.state(t1, forward), stack + (m,)), tail],
-            axis=-1)
-        h, i = None, 0
+        # the targets in marching order, then the stops: targets and knots
+        # merged, each time once (negation is exact)
+        marching = targets[np.argsort(sign * times[targets], kind="stable")]
+        wanted = ahead = sign * times[marching]
+        if inner.size:
+            ahead = np.sort(np.concatenate([sign * inner, ahead]))
+        ahead = ahead[np.concatenate(([True], ahead[1:] != ahead[:-1]))]
+        stops = sign * ahead
+        # each target reads the row of the stop at its time
+        reads = np.searchsorted(ahead, wanted)
+        rows, past = reads.tolist(), 0
+        leaving = np.concatenate(([t1], stops[:-1]))
+        gaps = stops - leaving
+        if inner.size:
+            # w re-read as it leaves t1 and every stop; z alone marches
+            rest = np.concatenate([
+                np.broadcast_to(exosystem.state(leaving, forward), stack + (len(stops), m)),
+                np.broadcast_to(tail[..., None, :], stack + (len(stops), tail.shape[-1]))],
+                axis=-1)
+            state = eta
+        else:
+            state = np.concatenate([
+                eta, np.broadcast_to(exosystem.state(t1, forward), stack + (m,)), tail],
+                axis=-1)
+        i = 0
         while i < len(stops):
-            j = i + 1
-            if gaps[i] == 0:
-                states = state[..., None, :]
+            h = gaps[i]
+            if h == 0:
+                # t1 itself
+                j, states = i + 1, state[..., None, :]
             else:
-                if h is None or abs(gaps[i] - h) > UNIFORM_RTOL * abs(h):
-                    h = gaps[i]
-                    step = expm(gen * h)
-                if kinds[i] >= 0:
-                    # the targets that follow at the same step, up to a knot
-                    same = (kinds[j:] >= 0) & (abs(gaps[j:] - h) <= UNIFORM_RTOL * abs(h))
-                    j += len(same) if same.all() else int(same.argmin())
-                states = _march(step, state, j - i)
+                apart = np.abs(gaps[i:] - h) > UNIFORM_RTOL * abs(h)
+                j = i + int(apart.argmax()) if apart.any() else len(stops)
+                step = expm(gen * h)
+                if inner.size:
+                    # z_k = P_zz z_(k-1) + P_z,rest rest_(k-1): the forcing's
+                    # step response from each stop's re-read state is its kick
+                    states = _march(step[..., :d, :d], state, j - i,
+                                    rest[..., i:j, :] @ step[..., :d, d:].swapaxes(-1, -2))
+                else:
+                    states = _march(step, state, j - i)
                 state = states[..., -1, :]
-            if kinds[i] < 0:
-                state[..., d:d + m] = exosystem.state(stops[i], forward)
-            else:
-                out[..., kinds[i:j], :] = states[..., :d]
+            first, past = past, bisect_left(rows, j, past)
+            out[..., marching[first:past], :] = states[..., reads[first:past] - i, :d]
             i = j
     return out

@@ -46,7 +46,12 @@ QUARTILE_LEVELS = (0, 25, 50, 75, 100)
 
 @dataclass(frozen=True)
 class SimulationScenario:
-    """A known system plus sampling, noise and replication settings."""
+    """A known system plus sampling, noise and replication settings.
+
+    a_matrix must be a non-empty d x d matrix, initial_state of shape (d,),
+    and, when given, b_matrix of shape (d, forcing.dimension) and constant
+    of shape (d,); otherwise ValueError names the field.
+    """
 
     a_matrix: np.ndarray
     initial_state: np.ndarray
@@ -67,6 +72,16 @@ class SimulationScenario:
         for name in ("a_matrix", "initial_state", "b_matrix", "constant"):
             if (value := getattr(self, name)) is not None:
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
+        shape = np.shape(self.a_matrix)
+        if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+            raise ValueError("a_matrix must be a non-empty square matrix, "
+                             f"got shape {shape}")
+        d = shape[0]
+        for name, want in (("initial_state", (d,)), ("constant", (d,)),
+                           ("b_matrix", (d, self.forcing.dimension))):
+            value = getattr(self, name)
+            if np.shape(value) != want and (value is not None or name == "initial_state"):
+                raise ValueError(f"{name} must have shape {want}, got {np.shape(value)}")
         if self.snr <= 0:
             raise ValueError("snr must be positive")
         if self.replications < 1:

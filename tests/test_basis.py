@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -197,3 +199,77 @@ class TestConfigRoundTrip:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             gm.spec_from_config({"kind": "spline"})
+
+
+def every_kind():
+    own = np.array([0.0, 0.4, 1.0, 1.3, 2.5, 3.0])
+    sampled = gm.ExogenousForcing(gm.make_series(own, np.column_stack([np.sin(own),
+                                                                         own ** 2])))
+    return {
+        "zero": gm.ZeroForcing(),
+        "polynomial": gm.PolynomialForcing(3),
+        "fourier": gm.FourierForcing(pairs=2, frequency=0.3),
+        "exogenous": sampled,
+        "mixed": gm.MixedForcing((sampled, gm.FourierForcing(1, 0.2),
+                                  gm.PolynomialForcing(1))),
+    }
+
+
+class TestVectorisedState:
+    @pytest.mark.parametrize("kind", list(every_kind()))
+    def test_array_of_times_stacks_the_scalar_calls(self, kind):
+        # between samples, at the samples themselves and at both ends
+        exo = every_kind()[kind].exosystem()
+        times = np.array([0.0, 0.2, 0.4, 0.7, 1.0, 1.3, 2.0, 2.5, 2.9, 3.0])
+        for forward in (True, False):
+            rows = np.stack([exo.state(t, forward) for t in times])
+            assert np.array_equal(exo.state(times, forward), rows)
+            assert exo.state(times[3], forward).shape == rows.shape[1:]
+            assert exo.state(times[:0], forward).shape == (0,) + rows.shape[1:]
+
+    def test_sample_states_differ_by_the_change_of_slope(self):
+        spec = every_kind()["exogenous"]
+        exo, own = spec.exosystem(), spec.series.grid.points
+        jump = exo.state(own[1:-1], True) - exo.state(own[1:-1], False)
+        slopes = np.diff(spec.series.values, axis=0) / np.diff(own)[:, None]
+        assert np.allclose(jump[:, 2:], np.diff(slopes, axis=0), rtol=1e-14)
+        assert np.allclose(jump[:, :2], 0.0, atol=1e-14)
+
+
+class TestExosystemBuiltOnce:
+    @pytest.mark.parametrize("kind", list(every_kind()))
+    def test_kept_on_the_spec(self, kind):
+        spec = every_kind()[kind]
+        assert spec.exosystem() is spec.exosystem()
+
+    @pytest.mark.parametrize("kind", list(every_kind()))
+    def test_fields_alone_are_seen(self, kind):
+        spec, fresh = every_kind()[kind], every_kind()[kind]
+        text, config = repr(spec), gm.spec_to_config(spec)
+        spec.exosystem()
+        assert repr(spec) == text == repr(fresh)
+        assert gm.spec_to_config(spec) == config
+        if kind not in ("exogenous", "mixed"):
+            # == of a sampled series compares arrays and has no truth value
+            assert spec == fresh and fresh == spec
+
+    def test_model_file_unchanged(self):
+        t = np.linspace(0.0, 3.0, 13)
+        spec = gm.MixedForcing((gm.ExogenousForcing(gm.make_series(t, np.sin(t))),
+                                gm.FourierForcing(1, 0.2)))
+        raw = gm.make_series(t, 5.0 + np.cos(t) + 0.1 * t)
+        model = gm.fit_matching(raw, spec)
+        before = gm.grey.model_to_dict(model)
+        gm.grey.time_response(model, t)
+        assert gm.grey.model_to_dict(model) == before
+
+    @pytest.mark.parametrize("kind", ["fourier", "exogenous", "mixed"])
+    def test_replaced_copy_builds_its_own(self, kind):
+        spec = every_kind()[kind]
+        built = spec.exosystem()
+        copy = replace(spec)
+        assert copy.exosystem() is not built
+        assert np.array_equal(copy.exosystem().generator, built.generator)
+        if kind == "fourier":
+            faster = replace(spec, frequency=0.6)
+            assert np.array_equal(faster.exosystem().generator, 2.0 * built.generator)

@@ -429,6 +429,29 @@ class TestSimulate:
         assert not (out / "summary.json").exists()
 
 
+    @pytest.mark.parametrize("fields, name", [
+        ({"B": [[1.0]], "forcing": {"kind": "polynomial", "degree": 1}}, "b_matrix"),
+        ({"B": [[1.0]]}, "b_matrix"),
+        ({"constant": [1.0]}, "constant"),
+        ({"A": -0.25, "initial_state": 1.2}, "a_matrix"),
+        ({"initial_state": [1.2]}, "initial_state"),
+    ])
+    def test_misshapen_scenario_is_a_usage_error(self, capsys, tmp_path, fields, name):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "A": [[-0.25, 0.70], [0.75, -0.25]],
+            "initial_state": [1.20, 0.35],
+            "snr": 5.0, "replications": 4, "seed": 4, **fields,
+        }))
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                  "--output", str(out))
+        assert code == cli.EXIT_USAGE
+        error = json.loads(stderr)
+        assert error["error"] == "ValueError"
+        assert name in error["message"]
+        assert not (out / "summary.json").exists()
+
     def test_absent_fields_take_the_library_defaults(self, capsys, tmp_path):
         a, state = [[-0.25, 0.70], [0.75, -0.25]], [1.20, 0.35]
         scenario = tmp_path / "scenario.json"

@@ -1,10 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greymatch import PolynomialForcing, ZeroForcing, numerics
+from greymatch import (ExogenousForcing, PolynomialForcing, ZeroForcing, make_series,
+                       numerics)
 from greymatch.errors import SingularDesignError, record_failures
 from greymatch.grey import linear_response
 from tests.conftest import ode_oracle
@@ -302,3 +305,59 @@ class TestPolynomialResponse:
         assert np.array_equal(marched[40], eta)
         assert np.array_equal(marched[90], marched[91])
         assert np.abs(marched - single).max() < 1e-12 * np.abs(single).max()
+
+
+class TestKnotScan:
+    """Sampled forcing on a uniform grid is marched in one run per direction,
+    with no stop per knot."""
+
+    def counted_forecast(self, monkeypatch, samples):
+        # an exogenous model with t1 inside its grid: both directions cross
+        # every sample, each a knot
+        rng = np.random.default_rng(samples)
+        times = 1.0 + 0.5 * np.arange(samples)
+        spec = ExogenousForcing(make_series(times, rng.normal(size=(samples, 1))))
+        calls = {"expm": 0, "state": 0}
+        exo, expm = spec.exosystem(), numerics.expm
+
+        def counted_state(t, forward=True):
+            calls["state"] += 1
+            return exo.state(t, forward)
+
+        def counted_expm(a):
+            calls["expm"] += 1
+            return expm(a)
+
+        monkeypatch.setattr(numerics, "expm", counted_expm)
+        monkeypatch.setattr(ExogenousForcing, "exosystem",
+                            lambda self: replace(exo, state=counted_state))
+        a = np.array([[-0.4, 0.2], [-0.1, -0.3]])
+        out = linear_response(a, rng.normal(size=(2, 1)), rng.normal(size=2), spec,
+                              rng.normal(size=2), float(times[samples // 3]), times)
+        assert np.isfinite(out).all()
+        monkeypatch.undo()
+        return calls
+
+    def test_one_exponential_per_direction_whatever_the_knot_count(self, monkeypatch):
+        few = self.counted_forecast(monkeypatch, 50)
+        many = self.counted_forecast(monkeypatch, 200)
+        assert few["expm"] == many["expm"] == 2
+        assert few["state"] == many["state"] <= 4
+
+    def test_kicked_march_is_the_affine_recurrence(self):
+        # s_k = P s_(k-1) + kick_k, for counts around powers of two and a
+        # stack of steps with kicks of their own
+        rng = np.random.default_rng(8)
+        step = 0.3 * rng.normal(size=(3, 4, 4))
+        state = rng.normal(size=(3, 4))
+        for count in (1, 2, 3, 7, 8, 9, 33):
+            kicks = rng.normal(size=(3, count, 4))
+            want, s = [], state
+            for k in range(count):
+                s = np.einsum("rij,rj->ri", step, s) + kicks[:, k]
+                want.append(s)
+            got = numerics._march(step, state, count, kicks)
+            assert np.allclose(got, np.stack(want, axis=1), rtol=1e-13, atol=1e-13)
+            shared = numerics._march(step, state, count, kicks[0])
+            assert np.array_equal(shared[0], numerics._march(step[0], state[0], count,
+                                                             kicks[0]))

@@ -26,10 +26,18 @@ def forcing_function(spec):
     return lambda t: spec.values(t)[0]
 
 
+def sample_times(spec):
+    """The sample times of every exogenous part of a spec, where u kinks."""
+    if isinstance(spec, gm.ExogenousForcing):
+        return spec.series.grid.points
+    if isinstance(spec, gm.MixedForcing):
+        return np.concatenate([sample_times(p) for p in spec.parts])
+    return np.empty(0)
+
+
 def oracle(a, b, c, spec, eta, t1, times):
     u = forcing_function(spec)
-    knots = spec.series.grid.points if isinstance(spec, gm.ExogenousForcing) else ()
-    return ode_oracle(a, lambda t: b @ u(t) + c, eta, t1, times, knots)
+    return ode_oracle(a, lambda t: b @ u(t) + c, eta, t1, times, sample_times(spec))
 
 
 def assert_matches_oracle(a, b, c, spec, eta, t1, times):
@@ -144,6 +152,65 @@ def test_stacked_response_matches_solve_ivp(kind):
         assert np.abs(got[k] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
         alone = linear_response(a[k], b[k], c[k], spec, eta[k], t1, times)
         assert np.array_equal(got[k], alone)
+
+
+def exogenous(rng, times, p=1):
+    return gm.ExogenousForcing(gm.make_series(
+        times, np.sin(times)[:, None] + 0.3 * rng.normal(size=(len(times), p))))
+
+
+def knot_case(case):
+    """(spec, times, t1) of a forcing with many knots in the way."""
+    rng = np.random.default_rng(["mixed", "on grid", "between"].index(case))
+    if case == "mixed":
+        # exogenous samples three to a response step, next to a polynomial:
+        # one run of equal gaps with knots on and between the response times
+        times = 0.5 + 0.3 * np.arange(30)
+        own = 0.5 + 0.1 * np.arange(88)
+        return (gm.MixedForcing((exogenous(rng, own, 2), gm.PolynomialForcing(2))),
+                times, float(times[11]))
+    if case == "on grid":
+        # a knot on every response time, 120 samples, marched both ways
+        times = -2.0 + 0.25 * np.arange(120)
+        return exogenous(rng, times, 2), times, float(times[47])
+    # an uneven response grid with knots between its times
+    times = 1.0 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 0.6, 40))])
+    own = np.concatenate([[times[0]], np.sort(rng.uniform(times[0], times[-1], 60)),
+                          [times[-1]]])
+    return exogenous(rng, own), times, float(times[25])
+
+
+@pytest.mark.parametrize("case", ["mixed", "on grid", "between"])
+def test_knots_match_solve_ivp(case):
+    # three systems marched in one stack across the knots; every slice
+    # matches the oracle and equals its one-slice call bit for bit
+    spec, times, t1 = knot_case(case)
+    assert sample_times(spec).size >= 27
+    rng = np.random.default_rng(40)
+    stack = 3
+    a = np.array([make_stable_system(rng, 2) for _ in range(stack)])
+    b = rng.normal(size=(stack, 2, spec.dimension))
+    c = rng.normal(size=(stack, 2))
+    eta = rng.normal(size=(stack, 2))
+    got = linear_response(a, b, c, spec, eta, t1, times)
+    for k in range(stack):
+        want = oracle(a[k], b[k], c[k], spec, eta[k], t1, times)
+        assert np.abs(got[k] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+        alone = linear_response(a[k], b[k], c[k], spec, eta[k], t1, times)
+        assert np.array_equal(got[k], alone)
+
+
+@pytest.mark.parametrize("t1, times", [
+    (0.0, [1.0, 2.0, 2.0]),
+    (3.0, [2.0, 5.0, 1.0, 4.0, 1.0, 5.0]),
+], ids=["forward", "both ways"])
+def test_repeated_times_between_knots_match_solve_ivp(t1, times):
+    # as many knot-only stops as repeated targets: each direction has one
+    # stop per target, yet a repeated target must read its own time's row
+    rng = np.random.default_rng(41)
+    spec = exogenous(rng, 1.5 * np.arange(5.0))
+    assert_matches_oracle(make_stable_system(rng, 2), rng.normal(size=(2, 1)),
+                          rng.normal(size=2), spec, rng.normal(size=2), t1, np.array(times))
 
 
 @pytest.mark.parametrize("uniform", [True, False], ids=["uniform", "uneven"])

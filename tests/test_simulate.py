@@ -31,6 +31,34 @@ class TestScenario:
         assert type(sc.seed) is int
         json.dumps(simulate.summary_to_dict(gm.run_monte_carlo(sc)))
 
+    @pytest.mark.parametrize("field, value", [
+        ("a_matrix", -0.25),
+        ("a_matrix", np.zeros((0, 0))),
+        ("a_matrix", np.zeros((2, 3))),
+        ("a_matrix", None),
+        ("initial_state", 1.2),
+        ("initial_state", [1.0, 2.0, 3.0]),
+        ("initial_state", None),
+        ("b_matrix", [[1.0]]),
+        ("b_matrix", [1.0, 1.0]),
+        ("constant", [1.0]),
+        ("constant", 1.0),
+    ])
+    def test_array_shapes_are_checked(self, sim_system, field, value):
+        with pytest.raises(ValueError, match=field):
+            scenario(sim_system, forcing=gm.PolynomialForcing(1), **{field: value})
+
+    def test_scalar_system_is_refused_before_its_length_is_taken(self):
+        with pytest.raises(ValueError, match="a_matrix"):
+            gm.SimulationScenario(a_matrix=-0.25, initial_state=1.2, snr=5.0,
+                                  replications=2, seed=0)
+
+    def test_well_shaped_arrays_pass(self, sim_system):
+        sc = scenario(sim_system, forcing=gm.PolynomialForcing(1),
+                      b_matrix=[[1.0], [0.5]], constant=[0.2, 0.1])
+        assert sc.b_matrix.shape == (2, 1) and sc.constant.shape == (2,)
+        assert scenario(sim_system, b_matrix=np.zeros((2, 0))).d == 2
+
     def test_step_must_divide_span(self, sim_system):
         with pytest.raises(ValueError):
             scenario(sim_system, step=0.3)
