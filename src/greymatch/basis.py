@@ -221,9 +221,8 @@ class ExogenousForcing:
         return self.series.values[self._align(times)]
 
     def antiderivatives(self, times):
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        sampled = VectorSeries(TimeGrid(t), self.values(t))
-        return integrate_piecewise_linear(sampled).values
+        # the trapezoid over every sample, as the propagator marches u
+        return integrate_piecewise_linear(self.series).values[self._align(times)]
 
     @_built_once
     def exosystem(self):

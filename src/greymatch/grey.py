@@ -29,8 +29,10 @@ INITIAL_STRATEGIES = ("fixed_first", "fixed_last", "least_squares",
                       "reduced_consistent", "reduced_half_step")
 PIPELINES = ("grey", "matching")
 
-# Spectral-norm * time-span budget beyond which exp(A t) is refused.
-RESPONSE_NORM_BUDGET = 50.0
+# Budget on the growth exponent of exp(A (t - t1)) over a march, beyond
+# which the march is refused: max Re lambda(A) times the forward span,
+# -min Re lambda(A) times the backward span.
+RESPONSE_GROWTH_BUDGET = 50.0
 
 
 @dataclass(frozen=True)
@@ -153,33 +155,49 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
     the state (numerics.exosystem_response) for every forcing kind; times
     before t1 march backward.  Pass constant=None for a model without c.
     A stack of systems (a_matrix (R, d, d), eta (R, d), ...) gives values
-    (R, len(times), d).  Fails with OverflowGuardError when |A|_2 times the
-    largest |t - t1| exceeds RESPONSE_NORM_BUDGET (a refused slice of a stack
-    marches with A = 0), and raises AlignmentError at times outside the
-    sample range of exogenous forcing.
+    (R, len(times), d).  Fails with OverflowGuardError when exp(A t) grows
+    by more than RESPONSE_GROWTH_BUDGET over the march (see _guarded; a
+    refused slice of a stack marches with A = 0) or when the response is
+    not finite (a masked slice reads 0), and raises AlignmentError at times
+    outside the sample range of exogenous forcing.
     """
     times = np.asarray(times, dtype=float)
     exo = spec.exosystem()
-    return _numerics.exosystem_response(_guarded(a_matrix, t1, times),
-                                        b_matrix @ exo.output, constant, exo, eta,
-                                        t1, times)
+    # overflow shows as a non-finite result, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _numerics.exosystem_response(_guarded(a_matrix, t1, times),
+                                              b_matrix @ exo.output, constant, exo,
+                                              eta, t1, times)
+    overflowed = ~np.isfinite(values).all(axis=(-2, -1))
+    if not overflowed.any():
+        return values
+    fail(overflowed, OverflowGuardError,
+         "the time response overflows double precision")
+    return np.where(overflowed[..., None, None], 0.0, values)
 
 
 def _guarded(a_matrix, t1, times):
     """a_matrix with the slices the overflow guard refuses set to 0, after
-    reporting them to errors.fail as OverflowGuardError: the slices where
-    |A|_2 times the largest |t - t1| exceeds RESPONSE_NORM_BUDGET."""
+    reporting them to errors.fail as OverflowGuardError: the slices whose
+    growth exponent over the march exceeds RESPONSE_GROWTH_BUDGET.  A
+    decaying march is never refused."""
     if not a_matrix.size:
         return a_matrix
-    span = float(np.max(np.abs(times - t1), initial=0.0))
-    # the largest singular value, as np.linalg.norm(A, 2) finds it
-    load = np.linalg.svd(a_matrix, compute_uv=False)[..., 0] * span
-    refused = load > RESPONSE_NORM_BUDGET
+    ahead = float(np.max(times, initial=t1)) - t1
+    behind = t1 - float(np.min(times, initial=t1))
+    # |Re lambda| <= |A|_1, so the eigenvalues are needed only where the
+    # 1-norm times the span exceeds the budget
+    bound = np.abs(a_matrix).sum(axis=-2).max(axis=-1) * max(ahead, behind)
+    if (bound <= RESPONSE_GROWTH_BUDGET).all():
+        return a_matrix
+    rates = np.linalg.eigvals(a_matrix).real
+    growth = np.maximum(rates.max(axis=-1) * ahead, -rates.min(axis=-1) * behind)
+    refused = growth > RESPONSE_GROWTH_BUDGET
     if not refused.any():
         return a_matrix
     fail(refused, OverflowGuardError,
-         f"|A| * span = {np.max(load):.1f} exceeds the stability budget "
-         f"{RESPONSE_NORM_BUDGET}; refusing to exponentiate")
+         f"growth rate * span = {np.max(growth):.1f} exceeds the budget "
+         f"{RESPONSE_GROWTH_BUDGET}; refusing to exponentiate")
     return np.where(refused[..., None, None], 0.0, a_matrix)
 
 
@@ -290,8 +308,6 @@ def grey_forecast(raw, spec, strategy="fixed_first", horizon=0, model=None):
     Returns the fitted-plus-forecast series on the original scale, length
     n + horizon.  Pass a pre-fitted `model` to skip refitting.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
     if model is None:
         model = fit_grey(raw, spec, strategy)
     return predict_on_grid(model, raw.grid.extended(horizon))

@@ -44,8 +44,6 @@ def matching_forecast(raw, spec, horizon=0, include_constant=True, model=None):
 
     No restore step is needed; the model lives on the original scale.
     """
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
     if model is None:
         model = fit_matching(raw, spec, include_constant)
     return predict_on_grid(model, raw.grid.extended(horizon))

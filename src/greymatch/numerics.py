@@ -10,12 +10,12 @@ flops, sets the cost.  Each function therefore takes a stack of problems
 along a leading axis, one per slice (a Monte Carlo block of replications),
 and does the same operations on each slice as a call on it alone, so a
 single problem is the one-slice case: `solve_least_squares` solves a stack
-of designs by one stacked SVD, `expm` exponentiates a stack of matrices,
-and the response march moves a stack of states through each run of equal
-steps with one step exponential, by doubling, in a few stacked products;
-the knots of sampled forcing inside a run enter as kicks of one prefix
-scan, so the march makes no stop per knot.  A slice that fails is reported
-through errors.fail.
+of designs by one stacked SVD, `expm` exponentiates a stack of matrices by
+one Pade approximant with scaling and squaring, and the response march
+moves a stack of states through each run of equal steps with one step
+exponential, by doubling, in a few stacked products; the knots of sampled
+forcing inside a run enter as kicks of one prefix scan, so the march makes
+no stop per knot.  A slice that fails is reported through errors.fail.
 """
 
 from bisect import bisect_left
@@ -94,64 +94,25 @@ def solve_least_squares(design, targets):
     return LeastSquaresSolution(coeffs, residual[()], condition[()])
 
 
-# Pade degrees m and the 1-norm bounds theta_m up to which the [m/m]
-# approximant of exp is accurate to double precision without scaling
-# (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005, Table 2.3).
-PADE_DEGREES = (3, 5, 7, 9, 13)
-PADE_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1,
-                       9.504178996162932e-1, 2.097847961257068e0,
-                       5.371920351148152e0])
-# Coefficients b_j = (2m - j)! / (j! (m - j)!) of the [m/m] approximant
-# V + U over V - U, with V = sum b_{2j} A^{2j} and U = A sum b_{2j+1} A^{2j}.
-_PADE_COEFFICIENTS = {
-    m: [factorial(2 * m - j) / (factorial(j) * factorial(m - j)) for j in range(m + 1)]
-    for m in PADE_DEGREES
-}
-
-
-def _pade(a, m):
-    """[m/m] Pade approximant of exp on a stack a of shape (k, n, n).
-
-    The sums of powers are formed entry by entry, so every slice gets the
-    same roundings however many others share the stack; degree 13 stops at
-    A^6 and takes the higher powers as A^6 times a sum (Higham 2005)."""
-    b = _PADE_COEFFICIENTS[m]
-    ident = np.eye(a.shape[-1])
-    powers = [a @ a]
-    while len(powers) < (3 if m == 13 else (m - 1) // 2):
-        powers.append(powers[-1] @ powers[0])
-    odd, even = b[1] * ident, b[0] * ident
-    for j, power in enumerate(powers, start=1):
-        odd = odd + b[2 * j + 1] * power
-        even = even + b[2 * j] * power
-    if m == 13:
-        a2, a4, a6 = powers
-        odd = odd + a6 @ (b[9] * a2 + b[11] * a4 + b[13] * a6)
-        even = even + a6 @ (b[8] * a2 + b[10] * a4 + b[12] * a6)
-    u = a @ odd
-    return np.linalg.solve(even - u, even + u)
-
-
-def _squared_pade(a, norms):
-    """exp of a stack whose 1-norms exceed theta_13: the degree-13
-    approximant of 2^-s a, squared s times, with s per matrix just large
-    enough to bring its norm within theta_13."""
-    squarings = np.ceil(np.log2(norms / PADE_THETA[-1]))
-    power = _pade(a / np.exp2(squarings)[:, None, None], 13)
-    for level in range(int(squarings.max())):
-        power = np.where((squarings > level)[:, None, None], power @ power, power)
-    return power
+# The [13/13] Pade approximant of exp, V + U over V - U with
+# V = sum b_2j A^2j and U = A sum b_2j+1 A^2j, is accurate to double
+# precision for 1-norms up to theta_13 (Higham, SIAM J. Matrix Anal. Appl.
+# 26(4), 2005, Table 2.3).  b_j = (26 - j)! / (j! (13 - j)!), here divided
+# by b_0, so the constant term is 1 and exp(0) = I exactly.
+PADE_THETA = 5.371920351148152
+_PADE_COEFFICIENTS = [factorial(26 - j) * factorial(13)
+                      / (factorial(26) * factorial(j) * factorial(13 - j))
+                      for j in range(14)]
 
 
 def expm(a):
     """exp(a) of a square matrix or a stack of them, shape (..., n, n).
 
-    Pade scaling and squaring (Higham 2005): each matrix gets the lowest
-    degree m in PADE_DEGREES whose bound theta_m covers its 1-norm, and a
-    matrix beyond theta_13 is scaled by 2^-s to within it, exponentiated and
-    squared s times.  Matrices of one degree are evaluated together, and a
-    slice of a stack gets the same operations as a call on it alone.  A 1x1
-    matrix is the scalar exponential of its entry.
+    Pade scaling and squaring (Higham 2005) with one approximant: each
+    matrix is scaled by 2^-s, s the fewest halvings that bring its 1-norm
+    within theta_13, put through the [13/13] approximant and squared s
+    times.  A slice of a stack gets the same operations as a call on it
+    alone.  A 1x1 matrix is the scalar exponential of its entry.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -163,17 +124,24 @@ def expm(a):
         raise ValueError("matrix exponential needs finite entries")
     if n == 1:
         return np.exp(a)
-    # index len(PADE_DEGREES) marks the matrices that need scaling
-    degree = np.searchsorted(PADE_THETA, norms)
-    groups = set(degree.tolist())
-    out = np.empty_like(stack)
-    for index in groups:
-        rows = degree == index if len(groups) > 1 else slice(None)
-        if index < len(PADE_DEGREES):
-            out[rows] = _pade(stack[rows], PADE_DEGREES[index])
-        else:
-            out[rows] = _squared_pade(stack[rows], norms[rows])
-    return out.reshape(a.shape)
+    squarings = np.ceil(np.log2(np.maximum(norms / PADE_THETA, 1.0)))
+    scaled = stack / np.exp2(squarings)[:, None, None]
+    # Higham's even/odd split: the powers stop at A^6 and the higher ones
+    # enter as A^6 times a sum.  The sums are formed entry by entry, so
+    # every slice gets the same roundings however many others share the
+    # stack.
+    b, ident = _PADE_COEFFICIENTS, np.eye(n)
+    a2 = scaled @ scaled
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = scaled @ (b[1] * ident + b[3] * a2 + b[5] * a4 + b[7] * a6
+                  + a6 @ (b[9] * a2 + b[11] * a4 + b[13] * a6))
+    v = (b[0] * ident + b[2] * a2 + b[4] * a4 + b[6] * a6
+         + a6 @ (b[8] * a2 + b[10] * a4 + b[12] * a6))
+    power = np.linalg.solve(v - u, v + u)
+    for level in range(int(squarings.max(initial=0.0))):
+        power = np.where((squarings > level)[:, None, None], power @ power, power)
+    return power.reshape(a.shape)
 
 
 def simpson_integral(fn_of_times, a, b, steps):
@@ -248,7 +216,11 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     z alone is marched by the prefix scan z_k = P_zz z_(k-1) + kick_k.  The
     kicks are small single-step responses, so no large ramps cancel, and
     the result agrees with stopping at each knot to round-off.  Times
-    outside the exosystem's domain raise AlignmentError.
+    outside the exosystem's domain raise AlignmentError.  The inputs
+    [G | c] enter divided by g, one power of two at least their largest
+    entry, and their state (w, then 1 for c) multiplied by g: the scaling
+    is exact, and the generator's 1-norm, which sets only the squarings of
+    expm, does not grow with the inputs.
 
     A, G, c and eta may carry a leading stack axis, one system per slice
     (a_matrix (R, d, d), eta (R, d), ...), which all march over the same
@@ -267,21 +239,18 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
         )
     stack = a_matrix.shape[:-2]
     d, m = eta.shape[-1], len(exosystem.generator)
-    if constant is None:
-        tail = np.ones(stack + (0,))
-    else:
-        # c enters as (c / g) times a constant state g, a power of two at
-        # least max |c|: exact, and it keeps the generator's 1-norm, which
-        # sets the Pade degree and the squarings, from growing with |c|
-        tail = np.exp2(np.ceil(np.log2(
-            np.abs(constant).max(axis=-1, initial=1.0))))[..., None]
-    size = d + m + tail.shape[-1]
+    unit = int(constant is not None)  # the input state's entry for c
+    size = d + m + unit
     gen = np.zeros(stack + (size, size))
     gen[..., :d, :d] = a_matrix
     gen[..., :d, d:d + m] = gain
-    gen[..., d:d + m, d:d + m] = exosystem.generator
     if constant is not None:
-        gen[..., :d, -1] = constant / tail
+        gen[..., :d, -1] = constant
+    # g, the lift of the inputs (see above)
+    lift = np.exp2(np.ceil(np.log2(
+        np.abs(gen[..., :d, d:]).max(axis=(-2, -1), initial=1.0))))[..., None]
+    gen[..., :d, d:] /= lift[..., None]
+    gen[..., d:d + m, d:d + m] = exosystem.generator
     out = np.empty(stack + (len(times), d))
     knots = exosystem.knots
     for forward in (True, False):
@@ -306,15 +275,12 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
         gaps = stops - leaving
         if inner.size:
             # w re-read as it leaves t1 and every stop; z alone marches
-            rest = np.concatenate([
-                np.broadcast_to(exosystem.state(leaving, forward), stack + (len(stops), m)),
-                np.broadcast_to(tail[..., None, :], stack + (len(stops), tail.shape[-1]))],
-                axis=-1)
+            rest = lift[..., None, :] * np.concatenate(
+                [exosystem.state(leaving, forward), np.ones((len(stops), unit))], axis=-1)
             state = eta
         else:
-            state = np.concatenate([
-                eta, np.broadcast_to(exosystem.state(t1, forward), stack + (m,)), tail],
-                axis=-1)
+            state = np.concatenate(
+                [eta, lift * np.append(exosystem.state(t1, forward), np.ones(unit))], axis=-1)
         i = 0
         while i < len(stops):
             h = gaps[i]

@@ -57,7 +57,10 @@ class TimeGrid:
         return bool(np.allclose(steps, steps[:1], rtol=UNIFORM_RTOL, atol=0.0))
 
     def extended(self, horizon):
-        """Append `horizon` points continuing with the last interval width."""
+        """Append `horizon` points continuing with the last interval width;
+        ValueError for a negative horizon."""
+        if horizon < 0:
+            raise ValueError("horizon must be >= 0")
         if horizon == 0:
             return self
         step = self.points[-1] - self.points[-2] if len(self.points) > 1 else 1.0

@@ -124,6 +124,16 @@ class TestExogenous:
         manual = gm.integrate_piecewise_linear(gm.make_series(t, np.sin(t))).values
         assert np.allclose(U, manual)
 
+    def test_antiderivative_integrates_every_sample(self):
+        # sampled every 0.5, read every 1.0: the integral runs over the
+        # samples between the read times too, as the propagator marches u
+        spec = self.make_spec()
+        t = np.arange(0.0, 5.0, 1.0)
+        U = spec.antiderivatives(t)
+        fine = np.arange(0.0, 5.0, 0.5)
+        want = [np.trapezoid(np.sin(fine[fine <= tk]), fine[fine <= tk]) for tk in t]
+        assert np.abs((U[:, 0] - U[0, 0]) - want).max() <= 1e-12
+
     def test_exosystem_interpolates(self):
         spec = self.make_spec()
         exo = spec.exosystem()

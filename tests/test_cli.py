@@ -220,6 +220,19 @@ class TestForecast:
         assert rows[0] == "t,x1_hat"
         assert len(rows) == 1 + len(repro.WATER_VALUES) + 2
 
+    def test_negative_horizon_is_a_usage_error(self, capsys, tmp_path, water_csv,
+                                               matching_config):
+        fitted = tmp_path / "fitted.json"
+        run_cli(capsys, "fit", "--input", str(water_csv), "--model",
+                str(matching_config), "--output", str(fitted), "--split", "12")
+        out = tmp_path / "forecast.csv"
+        code, stdout, stderr = run_cli(capsys, "forecast", "--model", str(fitted),
+                                       "--input", str(water_csv), "--horizon", "-3",
+                                       "--output", str(out))
+        assert code == cli.EXIT_USAGE
+        assert json.loads(stderr)["error"] == "ValueError"
+        assert not out.exists() and not stdout
+
     def test_dimension_mismatch(self, capsys, tmp_path, water_csv):
         fitted = tmp_path / "fitted.json"
         fitted.write_text(json.dumps({

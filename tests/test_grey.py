@@ -322,6 +322,58 @@ class TestStackedFits:
             assert np.array_equal(values[k], one)
 
 
+class TestGrowthGuard:
+    """The overflow guard bounds the growth of exp(A t) in each march
+    direction, so a decaying march is never refused, and a response that
+    overflows anyway fails as OverflowGuardError."""
+
+    def test_decaying_long_forecast_is_not_refused(self):
+        # x = 50 e^(-0.3 t) + 5, fitted on t = 1..12 and forecast 200 steps:
+        # |A| * span is about 63, but exp(A t) only shrinks
+        t = np.arange(1.0, 13.0)
+        raw = gm.make_series(t, 50.0 * np.exp(-0.3 * t) + 5.0)
+        model = gm.fit_matching(raw, gm.ZeroForcing())
+        forecast = gm.matching_forecast(raw, gm.ZeroForcing(), horizon=200, model=model)
+        a, c, eta = model.A[0, 0], model.c[0], model.eta[0]
+        later = forecast.grid.points
+        assert a < 0.0
+        assert np.allclose(forecast.values[:, 0],
+                           -c / a + (eta + c / a) * np.exp(a * (later - 1.0)),
+                           rtol=1e-12, atol=0.0)
+        assert abs(forecast.values[-1, 0] - 5.0) < 0.05
+
+    def test_backward_march_bounds_the_decay_rate(self):
+        # marched backward over 20, exp(A (t - t1)) grows by e^60 when A = -3
+        # and shrinks by e^-60 when A = +3
+        t = np.arange(21.0)
+
+        def respond(rate):
+            return grey.linear_response(np.array([[rate]]), np.zeros((1, 0)), None,
+                                        gm.ZeroForcing(), np.ones(1), 20.0, t)
+
+        with pytest.raises(OverflowGuardError):
+            respond(-3.0)
+        assert np.allclose(respond(3.0)[:, 0], np.exp(3.0 * (t - 20.0)),
+                           rtol=1e-12, atol=0.0)
+
+    def test_overflowing_response_is_refused(self):
+        # dz/dt = -0.05 z + 1e307 t reaches past the largest double; the
+        # guard passes A, the result is not finite
+        a, b = np.array([[-0.05]]), np.array([[1e307]])
+        args = (gm.PolynomialForcing(1), np.ones(1), 1.0, np.arange(1.0, 101.0))
+        with pytest.raises(OverflowGuardError, match="overflows"):
+            grey.linear_response(a, b, None, *args)
+        stack_b = np.array([[[1.0]], [[1e307]], [[2.0]]])
+        with record_failures(3) as failed:
+            values = grey.linear_response(np.broadcast_to(a, (3, 1, 1)), stack_b, None,
+                                          gm.PolynomialForcing(1), np.ones((3, 1)), 1.0,
+                                          args[-1])
+        assert list(failed) == [None, OverflowGuardError, None]
+        assert np.isfinite(values).all()
+        for k in (0, 2):
+            assert np.array_equal(values[k], grey.linear_response(a, stack_b[k], None, *args))
+
+
 class TestTimeResponse:
     def test_constant_when_everything_zero(self):
         model = gm.FittedModel(np.zeros((2, 2)), np.zeros((2, 0)), np.zeros(2),

@@ -172,7 +172,7 @@ class TestExpm:
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_batched_slices_equal_single_calls(self, n):
-        # norms from 1e-3 to 1e2 reach every Pade degree and the squaring
+        # norms from 1e-3 to 1e2 need from none to five squarings
         rng = np.random.default_rng(n)
         norms = np.geomspace(1e-3, 1e2, 24)
         stack = np.array([random_matrix(rng, n, s) for s in rng.permutation(norms)])

@@ -123,6 +123,34 @@ def test_large_constant():
                               rng.normal(size=2), t1, times)
 
 
+@pytest.mark.parametrize("gain", [1e6, 1e12, 1e300])
+def test_large_gain_matches_closed_form(gain):
+    # dz/dt = -0.05 z + B t, z(1) = 1: B rides in the march divided by a
+    # power of two, so its size adds no squarings whose rounding would
+    # reach the result
+    t = np.arange(1.0, 21.0)
+    particular, exp_coeff = gm.theory.scalar_closed_form(-0.05, [0.0, gain], 1.0, t1=1.0)
+    want = np.polynomial.polynomial.polyval(t, particular) + exp_coeff * np.exp(-0.05 * t)
+    got = linear_response(np.array([[-0.05]]), np.array([[gain]]), None,
+                          gm.PolynomialForcing(1), np.ones(1), 1.0, t)[:, 0]
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "fourier", "exogenous", "mixed"])
+def test_response_scales_with_its_inputs(kind):
+    # the solution is linear in (B, c, eta): scaling all three by 1e9 scales
+    # it by 1e9, up to round-off, on both sides of t1
+    rng = np.random.default_rng(KINDS.index(kind))
+    a = make_stable_system(rng, 2)
+    times = 0.5 * np.arange(13)
+    spec = random_spec(rng, kind, times.min(), times.max())
+    b = rng.normal(size=(2, spec.dimension))
+    c, eta = rng.normal(size=2), rng.normal(size=2)
+    small = linear_response(a, b, c, spec, eta, 2.0, times)
+    large = linear_response(a, 1e9 * b, 1e9 * c, spec, 1e9 * eta, 2.0, times)
+    assert np.abs(large - 1e9 * small).max() <= 1e-13 * np.abs(1e9 * small).max()
+
+
 @pytest.mark.parametrize("kind", ["fourier", "exogenous", "grey constant"])
 def test_stacked_response_matches_solve_ivp(kind):
     # four systems, each with its own A, B, c and eta, marched in one stack
