@@ -10,9 +10,9 @@ is not a basis component: the grey pipeline always carries it separately and
 the matching pipeline attaches it explicitly.
 
 A spec is treated as immutable: it builds its exosystem on the first call
-of `exosystem()` and keeps it, outside its dataclass fields, so equality,
-repr and serialization see only the fields, and a `dataclasses.replace`
-copy builds its own.
+of `exosystem()` and keeps it (exogenous forcing its trapezoid integral
+too), outside its dataclass fields, so equality, repr and serialization
+see only the fields, and a `dataclasses.replace` copy builds its own.
 """
 
 from dataclasses import dataclass, field
@@ -63,16 +63,18 @@ def _block_diagonal(blocks):
 
 
 def _built_once(build):
-    """An exosystem() method that builds on the first call and keeps the
-    result on the spec, outside its fields."""
+    """A method without arguments that builds on the first call and keeps
+    the result on the spec, outside its fields, under its own name with a
+    leading underscore."""
+    key = f"_{build.__name__}"
 
     @wraps(build)
-    def exosystem(self):
-        if "_exosystem" not in self.__dict__:
-            object.__setattr__(self, "_exosystem", build(self))
-        return self._exosystem
+    def built(self):
+        if key not in self.__dict__:
+            object.__setattr__(self, key, build(self))
+        return self.__dict__[key]
 
-    return exosystem
+    return built
 
 
 def _times(t):
@@ -194,8 +196,9 @@ class ExogenousForcing:
     """Forcing sampled from an observed series; values between samples are
     linearly interpolated when a continuous evaluation is required.
 
-    Treated as immutable: its exosystem is built once and kept, so the
-    series' arrays are not to be changed in place afterwards.
+    Treated as immutable: its exosystem and its trapezoid integral are
+    built once and kept, so the series' arrays are not to be changed in
+    place afterwards.
     """
 
     series: VectorSeries
@@ -220,9 +223,13 @@ class ExogenousForcing:
     def values(self, times):
         return self.series.values[self._align(times)]
 
+    @_built_once
+    def _trapezoid(self):
+        # the trapezoid integral over every sample, as the propagator marches u
+        return integrate_piecewise_linear(self.series).values
+
     def antiderivatives(self, times):
-        # the trapezoid over every sample, as the propagator marches u
-        return integrate_piecewise_linear(self.series).values[self._align(times)]
+        return self._trapezoid()[self._align(times)]
 
     @_built_once
     def exosystem(self):

@@ -163,17 +163,27 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
     """
     times = np.asarray(times, dtype=float)
     exo = spec.exosystem()
+    return _finite_response(_guarded(a_matrix, t1, times), b_matrix @ exo.output,
+                            constant, exo, eta, t1, times, slice_axes=2)
+
+
+def _finite_response(a_matrix, gain, constant, exo, eta, t1, times, slice_axes):
+    """numerics.exosystem_response, failing each slice whose values are not
+    all finite with OverflowGuardError (errors.fail; a masked slice reads
+    0).  One slice spans the trailing slice_axes axes of the values: 2 for
+    one system's (times, d), 3 for a set of systems marched together."""
     # overflow shows as a non-finite result, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _numerics.exosystem_response(_guarded(a_matrix, t1, times),
-                                              b_matrix @ exo.output, constant, exo,
+        values = _numerics.exosystem_response(a_matrix, gain, constant, exo,
                                               eta, t1, times)
-    overflowed = ~np.isfinite(values).all(axis=(-2, -1))
+    slices = values.reshape(values.shape[:values.ndim - slice_axes] + (-1,))
+    overflowed = ~np.isfinite(slices).all(axis=-1)
     if not overflowed.any():
         return values
     fail(overflowed, OverflowGuardError,
          "the time response overflows double precision")
-    return np.where(overflowed[..., None, None], 0.0, values)
+    return np.where(overflowed.reshape(overflowed.shape + (1,) * slice_axes),
+                    0.0, values)
 
 
 def _guarded(a_matrix, t1, times):
@@ -183,12 +193,11 @@ def _guarded(a_matrix, t1, times):
     decaying march is never refused."""
     if not a_matrix.size:
         return a_matrix
-    ahead = float(np.max(times, initial=t1)) - t1
-    behind = t1 - float(np.min(times, initial=t1))
+    ahead = float(times.max(initial=t1)) - t1
+    behind = t1 - float(times.min(initial=t1))
     # |Re lambda| <= |A|_1, so the eigenvalues are needed only where the
-    # 1-norm times the span exceeds the budget
-    bound = np.abs(a_matrix).sum(axis=-2).max(axis=-1) * max(ahead, behind)
-    if (bound <= RESPONSE_GROWTH_BUDGET).all():
+    # 1-norm times the span exceeds the budget (a NaN goes on to them too)
+    if np.abs(a_matrix).sum(axis=-2).max() * max(ahead, behind) <= RESPONSE_GROWTH_BUDGET:
         return a_matrix
     rates = np.linalg.eigvals(a_matrix).real
     growth = np.maximum(rates.max(axis=-1) * ahead, -rates.min(axis=-1) * behind)
@@ -271,11 +280,11 @@ def select_initial_value(y, A, B, c, spec, strategy):
         stack = A.shape[:-2]
         exo = spec.exosystem()
         is_forced = np.arange(d + 1)[:, None] == d
-        z = _numerics.exosystem_response(
+        z = _finite_response(
             np.broadcast_to(A[..., None, :, :], stack + (d + 1, d, d)),
             np.where(is_forced[:, None], (B @ exo.output)[..., None, :, :], 0.0),
             np.where(is_forced, c[..., None, :], 0.0), exo,
-            np.broadcast_to(np.eye(d + 1, d), stack + (d + 1, d)), t1, t)
+            np.broadcast_to(np.eye(d + 1, d), stack + (d + 1, d)), t1, t, slice_axes=3)
         return _numerics.solve_least_squares(
             np.moveaxis(z[..., :d, :, :], -3, -1).reshape(stack + (-1, d)),
             (y.values - z[..., d, :, :]).reshape(stack + (-1,))).coefficients
@@ -296,9 +305,10 @@ grey_time_response = time_response
 
 def predict_on_grid(model, grid):
     """Original-scale predictions of a fitted model on an arbitrary grid."""
-    response = time_response(model, grid.points)
+    response = _series.VectorSeries(grid, linear_response(
+        model.A, model.B, model.c, model.spec, model.eta, model.t1, grid.points))
     if model.pipeline == "grey":
-        return _series.inverse_cusum(_series.VectorSeries(grid, response.values))
+        return _series.inverse_cusum(response)
     return response
 
 

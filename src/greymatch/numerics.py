@@ -13,12 +13,14 @@ single problem is the one-slice case: `solve_least_squares` solves a stack
 of designs by one stacked SVD, `expm` exponentiates a stack of matrices by
 one Pade approximant with scaling and squaring, and the response march
 moves a stack of states through each run of equal steps with one step
-exponential, by doubling, in a few stacked products; the knots of sampled
-forcing inside a run enter as kicks of one prefix scan, so the march makes
-no stop per knot.  A slice that fails is reported through errors.fail.
+exponential, by doubling, in a few stacked products written in place into
+one buffer; the knots of sampled forcing inside a run enter as kicks of
+one prefix scan, so the march makes no stop per knot, and every requested
+time is read out of the buffer at once.  Sorting, merging and the backward
+march run only for the calls that need them.  A slice that fails is
+reported through errors.fail.
 """
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import factorial, prod
 
@@ -125,22 +127,32 @@ def expm(a):
     if n == 1:
         return np.exp(a)
     squarings = np.ceil(np.log2(np.maximum(norms / PADE_THETA, 1.0)))
-    scaled = stack / np.exp2(squarings)[:, None, None]
+    fewest, most = int(squarings.min(initial=0.0)), int(squarings.max(initial=0.0))
+    # halving no slice leaves the stack as it is (a division by 1 is exact)
+    scaled = stack / np.exp2(squarings)[:, None, None] if most else stack
     # Higham's even/odd split: the powers stop at A^6 and the higher ones
     # enter as A^6 times a sum.  The sums are formed entry by entry, so
     # every slice gets the same roundings however many others share the
-    # stack.
-    b, ident = _PADE_COEFFICIENTS, np.eye(n)
+    # stack.  The identity's coefficient is added on the diagonal of the
+    # first term, which rounds as b I + ... does: off the diagonal only the
+    # sign of a zero can differ, and the A^6 product added last settles it.
+    b = _PADE_COEFFICIENTS
     a2 = scaled @ scaled
     a4 = a2 @ a2
     a6 = a4 @ a2
-    u = scaled @ (b[1] * ident + b[3] * a2 + b[5] * a4 + b[7] * a6
+    odd, even = b[3] * a2, b[2] * a2
+    odd.reshape(-1, n * n)[:, ::n + 1] += b[1]
+    even.reshape(-1, n * n)[:, ::n + 1] += b[0]
+    u = scaled @ (odd + b[5] * a4 + b[7] * a6
                   + a6 @ (b[9] * a2 + b[11] * a4 + b[13] * a6))
-    v = (b[0] * ident + b[2] * a2 + b[4] * a4 + b[6] * a6
+    v = (even + b[4] * a4 + b[6] * a6
          + a6 @ (b[8] * a2 + b[10] * a4 + b[12] * a6))
     power = np.linalg.solve(v - u, v + u)
-    for level in range(int(squarings.max(initial=0.0))):
-        power = np.where((squarings > level)[:, None, None], power @ power, power)
+    # every slice takes the first `fewest` squarings; the rest only where due
+    for level in range(most):
+        squared = power @ power
+        power = squared if level < fewest else np.where(
+            (squarings > level)[:, None, None], squared, power)
     return power.reshape(a.shape)
 
 
@@ -160,40 +172,110 @@ def simpson_integral(fn_of_times, a, b, steps):
     return (b - a) / (3.0 * panels) * (weights[:, None] * values).sum(axis=0)
 
 
-def _march(step, state, count, kicks=None):
-    """States s_1, ..., s_count of s_k = step s_(k-1) + kicks_k from
-    s_0 = state, for a stack of step matrices and states: shape
-    (..., count, D); kicks (count, D) is shared by the stack, or
-    (..., count, D) gives each slice its own.
+def _march(step, state, out, kicked=False):
+    """Fill out, shape (..., count, D), with the states s_1, ..., s_count
+    of s_k = step s_(k-1) [+ kick_k] from s_0 = state, for a stack of step
+    matrices and states; with kicked, out holds kick_1, ..., kick_count on
+    entry.  Every product is written into out in place; returns out.
 
     Without kicks, doubling on the states: once the first m states are
     made, the power step^m maps them to the next m in one stacked product,
     and is then squared; about 2 log2(count) products in all, and no stack
     of powers held in memory.  With kicks, the doubling (prefix) scan of
     the affine recurrence (Blelloch, "Prefix sums and their applications",
-    1990): row k starts as kick k (row 1 also takes step s_0), and the
-    round with power step^r adds step^r times row k - r, after which row k
-    sums step^(k-j) kick_j over its last 2r inputs; about log2(count)
-    rounds of one stacked product and one squaring finish every row.
+    1990): row 1 also takes step s_0, and the round with power step^r adds
+    step^r times row k - r to row k, after which row k sums
+    step^(k-j) kick_j over its last 2r inputs; about log2(count) rounds of
+    one stacked product and one squaring finish every row.
     """
-    if kicks is None:
-        states = state[..., None, :] @ step.swapaxes(-1, -2)
-        power = step
-        while (made := states.shape[-2]) < count:
+    count = out.shape[-2]
+    if not kicked:
+        np.matmul(state[..., None, :], step.swapaxes(-1, -2), out=out[..., :1, :])
+        power, made = step, 1
+        while made < count:
             if made > 1:
                 power = power @ power
-            ahead = states[..., :count - made, :] @ power.swapaxes(-1, -2)
-            states = np.concatenate([states, ahead], axis=-2)
-        return states
-    states = np.broadcast_to(kicks, state.shape[:-1] + kicks.shape[-2:]).copy()
-    states[..., :1, :] += state[..., None, :] @ step.swapaxes(-1, -2)
+            ahead = min(made, count - made)
+            np.matmul(out[..., :ahead, :], power.swapaxes(-1, -2),
+                      out=out[..., made:made + ahead, :])
+            made += ahead
+        return out
+    out[..., :1, :] += state[..., None, :] @ step.swapaxes(-1, -2)
     power, reach = step, 1
     while reach < count:
-        states[..., reach:, :] += states[..., :-reach, :] @ power.swapaxes(-1, -2)
+        out[..., reach:, :] += out[..., :-reach, :] @ power.swapaxes(-1, -2)
         reach *= 2
         if reach < count:
             power = power @ power
-    return states
+    return out
+
+
+def _stops(t1, times, knots, forward):
+    """The stops of a march from t1 to times that all lie ahead of it
+    (forward) or all behind it: the times and the knots strictly between
+    t1 and the farthest time, each time once, in marching order.  Returns
+    the stops, those knots, and the row of each time among the stops, or
+    None when the stops are the times in order (negation is exact)."""
+    sign = 1.0 if forward else -1.0
+    inner = knots
+    if knots.size:
+        reach = sign * (knots - t1)
+        inner = knots[(reach > 0) & (reach < (sign * (times - t1)).max())]
+    ahead = times if forward else -times
+    if not inner.size and (ahead[1:] > ahead[:-1]).all():
+        return times, inner, None
+    # sorted and each time once (np.unique would do, but its first call
+    # alone raises a process's peak memory by about 1 MB)
+    merged = np.sort(np.concatenate([sign * inner, ahead]))
+    merged = merged[np.concatenate(([True], merged[1:] != merged[:-1]))]
+    return sign * merged, inner, np.searchsorted(merged, ahead)
+
+
+def _march_out(gen, lift, eta, exosystem, t1, times, forward):
+    """z at the stops (_stops) of the march from t1 to times, which all
+    lie on one side of t1, through the exosystem_response generator gen
+    with its input lift; and the row of each time among the stops (None
+    when they are the times in order).  Every run of equal gaps is
+    marched into its rows of one buffer."""
+    stops, inner, reads = _stops(t1, times, exosystem.knots, forward)
+    d, m = eta.shape[-1], len(exosystem.generator)
+    stack, size = gen.shape[:-2], gen.shape[-1]
+    leaving = np.concatenate(([t1], stops[:-1]))
+    gaps = stops - leaving
+    if inner.size:
+        # w re-read as it leaves t1 and every stop; z alone marches
+        rest = lift[..., None, :] * np.concatenate(
+            [exosystem.state(leaving, forward), np.ones((len(stops), size - d - m))],
+            axis=-1)
+        state = eta
+    else:
+        # (eta, g w(t1)[, g]) filled in place
+        state = np.empty(stack + (size,))
+        state[..., :d] = eta
+        state[..., d:] = lift
+        state[..., d:d + m] *= exosystem.state(t1, forward)
+    out = np.empty(stack + (len(stops), state.shape[-1]))
+    i = 0
+    if gaps[0] == 0:
+        # t1 itself
+        out[..., 0, :] = state
+        i = 1
+    while i < len(stops):
+        h = gaps[i]
+        apart = np.flatnonzero(np.abs(gaps[i:] - h) > UNIFORM_RTOL * abs(h))
+        j = i + int(apart[0]) if apart.size else len(stops)
+        step = expm(gen * h)
+        run = out[..., i:j, :]
+        if inner.size:
+            # z_k = P_zz z_(k-1) + P_z,rest rest_(k-1): the forcing's step
+            # response from each stop's re-read state is its kick
+            np.matmul(rest[..., i:j, :], step[..., :d, d:].swapaxes(-1, -2), out=run)
+            _march(step[..., :d, :d], state, run, kicked=True)
+        else:
+            _march(step, state, run)
+        state = out[..., j - 1, :]
+        i = j
+    return out[..., :d], reads
 
 
 def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
@@ -203,23 +285,27 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
 
     z and w march together through exp([[A, G, c], [0, S, 0], [0, 0, 0]] dt)
     (Van Loan, IEEE TAC 23(3), 1978), so no quadrature error enters.  The
-    march runs outward from t1, forward to later times and backward to
-    earlier ones.  Each direction merges its times and the exosystem's
-    knots between t1 and its farthest time into one sorted list of stops
-    (a knot at a target time is one stop) and marches each run of equal
-    gaps, equal to UNIFORM_RTOL, with one step exponential P and one
-    _march, however many times and knots the run holds.  Without a knot
-    in the way, the whole state is marched by doubling: P s, P^2 s, ...,
-    P^k s in about 2 log2(k) stacked products.  Across knots, w is re-read
-    (basis.Exosystem) as it leaves t1 and every stop, all in one call, and
-    the step response of z to each re-read forcing state becomes a kick:
-    z alone is marched by the prefix scan z_k = P_zz z_(k-1) + kick_k.  The
-    kicks are small single-step responses, so no large ramps cancel, and
-    the result agrees with stopping at each knot to round-off.  Times
-    outside the exosystem's domain raise AlignmentError.  The inputs
-    [G | c] enter divided by g, one power of two at least their largest
-    entry, and their state (w, then 1 for c) multiplied by g: the scaling
-    is exact, and the generator's 1-norm, which sets only the squarings of
+    march runs outward from t1, forward to later times and, only when a
+    time precedes t1, backward to earlier ones.  A direction stops at its
+    times, unless they are unsorted or repeated or the exosystem has knots
+    between t1 and its farthest time: then at those times and knots
+    merged into one sorted list, each time once.  Each run of equal gaps,
+    equal to UNIFORM_RTOL, is marched with one step exponential P and one
+    _march, however many times and knots the run holds, into its rows of
+    one buffer of states per direction; every time is then read out of
+    the buffers at once (by one np.take, or none when the times are the
+    stops in order).  Without a knot in the way, the whole state is
+    marched by doubling: P s, P^2 s, ..., P^k s in about 2 log2(k) stacked
+    products.  Across knots, w is re-read (basis.Exosystem) as it leaves
+    t1 and every stop, all in one call, and the step response of z to
+    each re-read forcing state becomes a kick: z alone is marched by the
+    prefix scan z_k = P_zz z_(k-1) + kick_k.  The kicks are small
+    single-step responses, so no large ramps cancel, and the result
+    agrees with stopping at each knot to round-off.  Times outside the
+    domain of sampled forcing raise AlignmentError.  The inputs [G | c]
+    enter divided by g, one power of two at least their largest entry,
+    and their state (w, then 1 for c) multiplied by g: the scaling is
+    exact, and the generator's 1-norm, which sets only the squarings of
     expm, does not grow with the inputs.
 
     A, G, c and eta may carry a leading stack axis, one system per slice
@@ -231,16 +317,18 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     eta = np.asarray(eta, dtype=float)
     times = np.asarray(times, dtype=float)
     lo, hi = exosystem.domain
-    reached = np.append(times, t1)
-    outside = reached[(reached < lo - 1e-12) | (reached > hi + 1e-12)]
-    if outside.size:
-        raise AlignmentError(
-            f"t={outside[0]} outside the forcing's sample range [{lo}, {hi}]"
-        )
+    if -np.inf < lo or hi < np.inf:
+        reached = np.append(times, t1)
+        outside = reached[(reached < lo - 1e-12) | (reached > hi + 1e-12)]
+        if outside.size:
+            raise AlignmentError(
+                f"t={outside[0]} outside the forcing's sample range [{lo}, {hi}]"
+            )
     stack = a_matrix.shape[:-2]
     d, m = eta.shape[-1], len(exosystem.generator)
-    unit = int(constant is not None)  # the input state's entry for c
-    size = d + m + unit
+    if not times.size:
+        return np.empty(stack + (0, d))
+    size = d + m + (constant is not None)
     gen = np.zeros(stack + (size, size))
     gen[..., :d, :d] = a_matrix
     gen[..., :d, d:d + m] = gain
@@ -251,55 +339,18 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
         np.abs(gen[..., :d, d:]).max(axis=(-2, -1), initial=1.0))))[..., None]
     gen[..., :d, d:] /= lift[..., None]
     gen[..., d:d + m, d:d + m] = exosystem.generator
-    out = np.empty(stack + (len(times), d))
-    knots = exosystem.knots
-    for forward in (True, False):
-        sign = 1.0 if forward else -1.0
-        targets = np.flatnonzero((times >= t1) == forward)
-        if not targets.size:
-            continue
-        reach = sign * (knots - t1)
-        inner = knots[(reach > 0) & (reach < (sign * (times[targets] - t1)).max())]
-        # the targets in marching order, then the stops: targets and knots
-        # merged, each time once (negation is exact)
-        marching = targets[np.argsort(sign * times[targets], kind="stable")]
-        wanted = ahead = sign * times[marching]
-        if inner.size:
-            ahead = np.sort(np.concatenate([sign * inner, ahead]))
-        ahead = ahead[np.concatenate(([True], ahead[1:] != ahead[:-1]))]
-        stops = sign * ahead
-        # each target reads the row of the stop at its time
-        reads = np.searchsorted(ahead, wanted)
-        rows, past = reads.tolist(), 0
-        leaving = np.concatenate(([t1], stops[:-1]))
-        gaps = stops - leaving
-        if inner.size:
-            # w re-read as it leaves t1 and every stop; z alone marches
-            rest = lift[..., None, :] * np.concatenate(
-                [exosystem.state(leaving, forward), np.ones((len(stops), unit))], axis=-1)
-            state = eta
-        else:
-            state = np.concatenate(
-                [eta, lift * np.append(exosystem.state(t1, forward), np.ones(unit))], axis=-1)
-        i = 0
-        while i < len(stops):
-            h = gaps[i]
-            if h == 0:
-                # t1 itself
-                j, states = i + 1, state[..., None, :]
-            else:
-                apart = np.abs(gaps[i:] - h) > UNIFORM_RTOL * abs(h)
-                j = i + int(apart.argmax()) if apart.any() else len(stops)
-                step = expm(gen * h)
-                if inner.size:
-                    # z_k = P_zz z_(k-1) + P_z,rest rest_(k-1): the forcing's
-                    # step response from each stop's re-read state is its kick
-                    states = _march(step[..., :d, :d], state, j - i,
-                                    rest[..., i:j, :] @ step[..., :d, d:].swapaxes(-1, -2))
-                else:
-                    states = _march(step, state, j - i)
-                state = states[..., -1, :]
-            first, past = past, bisect_left(rows, j, past)
-            out[..., marching[first:past], :] = states[..., reads[first:past] - i, :d]
-            i = j
-    return out
+    if t1 <= times.min():
+        z, reads = _march_out(gen, lift, eta, exosystem, t1, times, True)
+        return np.ascontiguousarray(z) if reads is None else np.take(z, reads, axis=-2)
+    # both directions: the backward stops, then the forward ones, and each
+    # time's row among them
+    before = times < t1
+    parts, rows, first = [], np.empty(len(times), dtype=np.intp), 0
+    for forward in (False, True):
+        picked = np.flatnonzero(before != forward)
+        if picked.size:
+            z, reads = _march_out(gen, lift, eta, exosystem, t1, times[picked], forward)
+            rows[picked] = first + (np.arange(picked.size) if reads is None else reads)
+            parts.append(z)
+            first += z.shape[-2]
+    return np.take(np.concatenate(parts, axis=-2), rows, axis=-2)

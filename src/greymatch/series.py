@@ -37,7 +37,7 @@ class TimeGrid:
             raise ValueError("time grid needs at least one point")
         if not np.isfinite(pts).all():
             raise ValueError("time grid must be finite")
-        if len(pts) > 1 and not (np.diff(pts) > 0).all():
+        if not (pts[1:] > pts[:-1]).all():
             raise ValueError("time grid must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
@@ -49,11 +49,11 @@ class TimeGrid:
         """Interval weights h_k: h_1 = 1 by convention, h_k = t_k - t_{k-1}."""
         h = np.empty(len(self.points))
         h[0] = 1.0
-        h[1:] = np.diff(self.points)
+        h[1:] = self.points[1:] - self.points[:-1]
         return h
 
     def is_uniform(self):
-        steps = np.diff(self.points)
+        steps = self.points[1:] - self.points[:-1]
         return bool(np.allclose(steps, steps[:1], rtol=UNIFORM_RTOL, atol=0.0))
 
     def extended(self, horizon):
@@ -106,30 +106,40 @@ def make_series(times, values):
     return VectorSeries(TimeGrid(np.asarray(times, dtype=float)), values)
 
 
+def _row_weights(weights, values):
+    """One weight per row of values, shaped to multiply them: (n, 1) for a
+    single series, and for a stack a contiguous (n, d) array, with which
+    an elementwise pass runs one inner loop per slice instead of one per
+    row.  Every entry gets the same product either way."""
+    if values.ndim < 3:
+        return weights[:, None]
+    return np.repeat(weights[:, None], values.shape[-1], axis=1)
+
+
 def cusum(series):
     """Interval-weighted running sum: y(t_k) = sum_{i<=k} h_i x(t_i)."""
-    h = series.grid.intervals
-    return VectorSeries(series.grid, np.cumsum(h[:, None] * series.values, axis=-2))
+    h = _row_weights(series.grid.intervals, series.values)
+    return VectorSeries(series.grid, np.cumsum(h * series.values, axis=-2))
 
 
 def inverse_cusum(series):
     """Difference quotients restoring x from y; exact inverse of cusum."""
-    h = series.grid.intervals
     y = series.values
+    h = _row_weights(series.grid.intervals, y)
     x = np.empty_like(y)
     x[..., 0, :] = y[..., 0, :] / h[0]
-    x[..., 1:, :] = (y[..., 1:, :] - y[..., :-1, :]) / h[1:, None]
+    x[..., 1:, :] = (y[..., 1:, :] - y[..., :-1, :]) / h[1:]
     return VectorSeries(series.grid, x)
 
 
 def integrate_piecewise_linear(series):
     """Second-order (trapezoid) discretization of x(t_1) + int x ds."""
     x = series.values
-    h = series.grid.intervals
+    h = _row_weights(series.grid.intervals, x)
     # cumsum adds the increments in row order, so each row rounds exactly
     # as a running sum does
     increments = np.concatenate(
-        [x[..., :1, :], 0.5 * h[1:, None] * (x[..., :-1, :] + x[..., 1:, :])], axis=-2)
+        [x[..., :1, :], 0.5 * h[1:] * (x[..., :-1, :] + x[..., 1:, :])], axis=-2)
     return VectorSeries(series.grid, np.cumsum(increments, axis=-2))
 
 

@@ -518,6 +518,24 @@ class TestVerify:
         assert code == 0
         assert json.loads(stdout)["passed"]
 
+    def test_translation_reports_the_tolerance_each_detail_failed(self, capsys,
+                                                                  water_csv):
+        # --tolerance sets the parameter tolerance only: the restored values
+        # are still judged by the default value tolerance
+        code, stdout, _ = run_cli(capsys, "verify", "--check", "translation",
+                                  "--input", str(water_csv), "--tolerance", "0")
+        assert code == cli.EXIT_TOLERANCE
+        report = json.loads(stdout)
+        assert report["tolerances"] == {"A": 0.0, "B": 0.0, "c_shifted_by_A_shift": 0.0,
+                                        "restored_from_second_point": 1e-8}
+        assert report["details"]["c_shifted_by_A_shift"] > 0.0
+        assert report["failures"]["c_shifted_by_A_shift"] == 0.0
+        assert report["failures"] == {
+            key: report["tolerances"][key] for key, value in report["details"].items()
+            if value > report["tolerances"][key]}
+        # the key older readers take stays: the largest tolerance
+        assert report["tolerance"] == 1e-8 and not report["passed"]
+
     @pytest.mark.parametrize("check, extra", [
         ("translation", ("--value-tolerance", "0")),
         ("translation", ("--tolerance", "0")),
@@ -577,6 +595,20 @@ class TestReproduce:
                                   "--tolerance", "0")
         assert code == cli.EXIT_TOLERANCE
         assert "[FAIL]" in stdout
+
+    @pytest.mark.parametrize("case, extra", [
+        ("water", ()),
+        ("simulation-table4", ("--reps", "200")),
+        ("simulation-fig5", ("--reps", "200")),
+    ])
+    def test_verbose_report_is_unchanged(self, capsys, case, extra):
+        # the reports pinned byte for byte: a change that moves any printed
+        # cell shows here, and has to regenerate the file on purpose
+        pinned = Path(__file__).parent / "data" / f"reproduce_{case}.txt"
+        code, stdout, _ = run_cli(capsys, "reproduce", "--case", case,
+                                  "--verbose", *extra)
+        assert code == cli.EXIT_OK
+        assert stdout == pinned.read_text()
 
 
 class TestPayloadCompatibility:

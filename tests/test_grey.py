@@ -373,6 +373,25 @@ class TestGrowthGuard:
         for k in (0, 2):
             assert np.array_equal(values[k], grey.linear_response(a, stack_b[k], None, *args))
 
+    def test_overflowing_least_squares_initial_value_is_refused(self):
+        # the same system marched for the least_squares initial value: its
+        # d + 1 systems overflow in one slice, which is masked alone
+        t = np.arange(1.0, 101.0)
+        y = gm.make_series(t, 2.0 + 0.1 * t)
+        a, c, spec = np.array([[-0.05]]), np.array([1.0]), gm.PolynomialForcing(1)
+        with pytest.raises(OverflowGuardError, match="overflows"):
+            grey.select_initial_value(y, a, np.array([[1e307]]), c, spec, "least_squares")
+        stack_b = np.array([[[1.0]], [[1e307]], [[2.0]]])
+        stacked = gm.VectorSeries(y.grid, np.broadcast_to(y.values, (3,) + y.values.shape))
+        with record_failures(3) as failed:
+            eta = grey.select_initial_value(stacked, np.broadcast_to(a, (3, 1, 1)), stack_b,
+                                            np.broadcast_to(c, (3, 1)), spec, "least_squares")
+        assert list(failed) == [None, OverflowGuardError, None]
+        assert np.isfinite(eta).all()
+        for k in (0, 2):
+            assert np.array_equal(eta[k], grey.select_initial_value(
+                y, a, stack_b[k], c, spec, "least_squares"))
+
 
 class TestTimeResponse:
     def test_constant_when_everything_zero(self):

@@ -180,6 +180,25 @@ class TestExpm:
         for matrix, got in zip(stack, batched):
             assert np.array_equal(got, numerics.expm(matrix))
 
+    @pytest.mark.parametrize("low, high", [(11.0, 21.0), (11.0, 300.0)],
+                             ids=["equal squarings", "mixed squarings"])
+    def test_scaled_stack_slices_equal_single_calls(self, low, high):
+        # every slice needs two squarings, or from two to six: the squarings
+        # all slices share, and those only some take
+        rng = np.random.default_rng(int(high))
+        norms = rng.permutation(np.geomspace(low, high, 9))
+        stack = np.array([random_matrix(rng, 4, s) for s in norms])
+        squarings = np.ceil(np.log2(norms / numerics.PADE_THETA))
+        assert squarings.min() == 2 and (squarings.max() == 2) == (high == 21.0)
+        for matrix, got in zip(stack, numerics.expm(stack)):
+            assert np.array_equal(got, numerics.expm(matrix))
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    def test_zero_is_exactly_the_identity(self, n):
+        assert np.array_equal(numerics.expm(np.zeros((n, n))), np.eye(n))
+        assert np.array_equal(numerics.expm(np.zeros((2, n, n))),
+                              np.broadcast_to(np.eye(n), (2, n, n)))
+
     def test_zero_stack_is_identity(self):
         assert np.array_equal(numerics.expm(np.zeros((3, 4, 4))),
                               np.broadcast_to(np.eye(4), (3, 4, 4)))
@@ -356,8 +375,9 @@ class TestKnotScan:
             for k in range(count):
                 s = np.einsum("rij,rj->ri", step, s) + kicks[:, k]
                 want.append(s)
-            got = numerics._march(step, state, count, kicks)
+            got = numerics._march(step, state, kicks.copy(), kicked=True)
             assert np.allclose(got, np.stack(want, axis=1), rtol=1e-13, atol=1e-13)
-            shared = numerics._march(step, state, count, kicks[0])
-            assert np.array_equal(shared[0], numerics._march(step[0], state[0], count,
-                                                             kicks[0]))
+            shared = numerics._march(step, state, np.tile(kicks[0], (3, 1, 1)),
+                                     kicked=True)
+            assert np.array_equal(shared[0], numerics._march(step[0], state[0],
+                                                             kicks[0].copy(), kicked=True))

@@ -264,3 +264,71 @@ def test_least_squares_initial_value_matches_solve_ivp(kind, d, uniform):
     want = np.linalg.lstsq(columns.reshape(-1, d), (y.values - forced).reshape(-1),
                            rcond=None)[0]
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+def readout_case(kind, stack=()):
+    """(a, gain, c, exosystem, eta) of random stable systems, one per slice
+    of the stack, forced on [-3, 6]: polynomial, or exogenous with a knot
+    at every half step."""
+    rng = np.random.default_rng([KINDS.index(kind), len(stack)])
+    spec = (gm.PolynomialForcing(2) if kind == "polynomial"
+            else exogenous(rng, -3.0 + 0.5 * np.arange(19)))
+    exo = spec.exosystem()
+    a = np.array([make_stable_system(rng, 2) for _ in range(stack[0] if stack else 1)])
+    b = rng.normal(size=(len(a), 2, spec.dimension))
+    c, eta = rng.normal(size=(2, len(a), 2))
+    if not stack:
+        a, b, c, eta = a[0], b[0], c[0], eta[0]
+    return a, b @ exo.output, c, exo, eta
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "exogenous"])
+class TestReadOut:
+    """Each time reads its own row of the march, whatever the order of the
+    times: every call below equals its simpler counterpart bit for bit."""
+
+    def test_unsorted_repeated_times_permute_the_sorted_rows(self, kind):
+        a, gain, c, exo, eta = readout_case(kind)
+        times = np.array([2.5, 0.5, 4.0, 0.5, 1.75, 4.0, 3.0, 2.5])
+        ordered, rows = np.unique(times, return_inverse=True)
+        got = gm.exosystem_response(a, gain, c, exo, eta, 0.5, times)
+        assert np.array_equal(got, gm.exosystem_response(a, gain, c, exo, eta, 0.5,
+                                                         ordered)[rows])
+
+    def test_two_sided_times_read_each_direction(self, kind):
+        a, gain, c, exo, eta = readout_case(kind)
+        times = np.array([3.5, -1.0, 0.75, 5.0, -2.5, 2.0, 2.0, -0.25])
+        t1 = 1.25
+        got = gm.exosystem_response(a, gain, c, exo, eta, t1, times)
+        for side in (times < t1, times >= t1):
+            assert np.array_equal(got[side], gm.exosystem_response(
+                a, gain, c, exo, eta, t1, times[side]))
+
+    def test_stack_on_unsorted_two_sided_times_equals_single_calls(self, kind):
+        a, gain, c, exo, eta = readout_case(kind, stack=(3,))
+        times = np.array([4.5, -2.0, 1.0, 1.0, -0.5, 3.25, 0.0, 5.5])
+        got = gm.exosystem_response(a, gain, c, exo, eta, 0.75, times)
+        assert got.shape == (3, len(times), 2)
+        for k in range(3):
+            assert np.array_equal(got[k], gm.exosystem_response(
+                a[k], gain[k], c[k], exo, eta[k], 0.75, times))
+
+    def test_no_times_give_no_rows(self, kind):
+        for stack in ((), (3,)):
+            a, gain, c, exo, eta = readout_case(kind, stack)
+            got = gm.exosystem_response(a, gain, c, exo, eta, 0.5, np.empty(0))
+            assert got.shape == stack + (0, 2)
+
+
+@pytest.mark.parametrize("t1, times", [
+    (0.0, [0.5, 1.5, 3.0, 4.5]),
+    (2.25, [4.0, -1.0, 3.0, 0.5, 6.0, -2.75, 1.5]),
+], ids=["knot at a target", "unsorted both ways"])
+def test_read_out_matches_solve_ivp(t1, times):
+    # exogenous samples every 1.5 from -3: knots on some targets, between
+    # others
+    rng = np.random.default_rng(42)
+    spec = exogenous(rng, -3.0 + 1.5 * np.arange(7.0))
+    assert np.isin(times, spec.series.grid.points).any()
+    assert_matches_oracle(make_stable_system(rng, 2), rng.normal(size=(2, 1)),
+                          rng.normal(size=2), spec, rng.normal(size=2), t1, np.array(times))
