@@ -155,35 +155,30 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
     the state (numerics.exosystem_response) for every forcing kind; times
     before t1 march backward.  Pass constant=None for a model without c.
     A stack of systems (a_matrix (R, d, d), eta (R, d), ...) gives values
-    (R, len(times), d).  Fails with OverflowGuardError when exp(A t) grows
-    by more than RESPONSE_GROWTH_BUDGET over the march (see _guarded; a
-    refused slice of a stack marches with A = 0) or when the response is
-    not finite (a masked slice reads 0), and raises AlignmentError at times
-    outside the sample range of exogenous forcing.
+    (R, len(times), d).  A slice is one A: leading axes of B, c or eta
+    ahead of A's stack are systems marched with it (B (k, R, d, p) gives
+    values (k, R, len(times), d)), and each system gets the numbers it gets
+    alone.  Fails a slice with OverflowGuardError when exp(A t) grows by
+    more than RESPONSE_GROWTH_BUDGET over the march (see _guarded; a
+    refused slice marches with A = 0) or when any of its systems' values is
+    not finite (the whole slice then reads 0), and raises AlignmentError at
+    times outside the sample range of exogenous forcing.
     """
     times = np.asarray(times, dtype=float)
+    a_matrix = _guarded(np.asarray(a_matrix, dtype=float), t1, times)
     exo = spec.exosystem()
-    return _finite_response(_guarded(a_matrix, t1, times), b_matrix @ exo.output,
-                            constant, exo, eta, t1, times, slice_axes=2)
-
-
-def _finite_response(a_matrix, gain, constant, exo, eta, t1, times, slice_axes):
-    """numerics.exosystem_response, failing each slice whose values are not
-    all finite with OverflowGuardError (errors.fail; a masked slice reads
-    0).  One slice spans the trailing slice_axes axes of the values: 2 for
-    one system's (times, d), 3 for a set of systems marched together."""
     # overflow shows as a non-finite result, refused below
     with np.errstate(over="ignore", invalid="ignore"):
-        values = _numerics.exosystem_response(a_matrix, gain, constant, exo,
-                                              eta, t1, times)
-    slices = values.reshape(values.shape[:values.ndim - slice_axes] + (-1,))
-    overflowed = ~np.isfinite(slices).all(axis=-1)
+        values = _numerics.exosystem_response(a_matrix, b_matrix @ exo.output,
+                                              constant, exo, eta, t1, times)
+    # a slice spans its systems (the leading axes) and its (times, d)
+    overflowed = ~np.isfinite(values).all(
+        axis=(*range(values.ndim - a_matrix.ndim), -2, -1))
     if not overflowed.any():
         return values
     fail(overflowed, OverflowGuardError,
          "the time response overflows double precision")
-    return np.where(overflowed.reshape(overflowed.shape + (1,) * slice_axes),
-                    0.0, values)
+    return np.where(overflowed[..., None, None], 0.0, values)
 
 
 def _guarded(a_matrix, t1, times):
@@ -236,9 +231,10 @@ def select_initial_value(y, A, B, c, spec, strategy):
     reduced-order model, (I - A)^{-1} (c + B u(t1)).
 
     The response is affine in eta, so least_squares is a linear fit: one
-    march of d + 1 systems gives column j of exp(A (t - t1)) from e_j
-    unforced and the forced part from 0 with B u + c.  A slice the
-    overflow guard refuses is a masked row, marched with A = 0.
+    linear_response call marches d + 1 systems per A, on a systems axis of
+    B, c and eta ahead of A's stack, and gives column j of exp(A (t - t1))
+    from e_j unforced and the forced part from 0 with B u + c.  A slice the
+    overflow guard refuses, or whose march overflows, is a masked row.
 
     reduced_half_step solves (I - A) eta = c + B u(t1) + c~, where c~ is the
     constant term (value at t = 0) of the reduced-order forcing
@@ -276,18 +272,15 @@ def select_initial_value(y, A, B, c, spec, strategy):
         return linear_response(A, B, c, spec, y.values[..., -1, :], float(t[-1]),
                                np.array([t1]))[..., 0, :]
     if strategy == "least_squares":
-        A = _guarded(A, t1, t)
-        stack = A.shape[:-2]
-        exo = spec.exosystem()
-        is_forced = np.arange(d + 1)[:, None] == d
-        z = _finite_response(
-            np.broadcast_to(A[..., None, :, :], stack + (d + 1, d, d)),
-            np.where(is_forced[:, None], (B @ exo.output)[..., None, :, :], 0.0),
-            np.where(is_forced, c[..., None, :], 0.0), exo,
-            np.broadcast_to(np.eye(d + 1, d), stack + (d + 1, d)), t1, t, slice_axes=3)
+        # the systems axis, ahead of A's stack: e_j unforced, then 0 forced
+        forced = (np.arange(d + 1) == d).reshape((d + 1,) + (1,) * c.ndim)
+        z = linear_response(A, np.where(forced[..., None], B, 0.0),
+                            np.where(forced, c, 0.0), spec,
+                            np.eye(d + 1, d).reshape(forced.shape[:-1] + (d,)), t1, t)
+        stack = z.shape[1:-2]
         return _numerics.solve_least_squares(
-            np.moveaxis(z[..., :d, :, :], -3, -1).reshape(stack + (-1, d)),
-            (y.values - z[..., d, :, :]).reshape(stack + (-1,))).coefficients
+            np.moveaxis(z[:d], 0, -1).reshape(stack + (-1, d)),
+            (y.values - z[d]).reshape(stack + (-1,))).coefficients
     raise ValueError(f"unknown strategy {strategy!r}")
 
 

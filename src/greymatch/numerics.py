@@ -308,12 +308,15 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     exact, and the generator's 1-norm, which sets only the squarings of
     expm, does not grow with the inputs.
 
-    A, G, c and eta may carry a leading stack axis, one system per slice
-    (a_matrix (R, d, d), eta (R, d), ...), which all march over the same
-    times and knots in the same products; each slice gets the numbers it
-    gets alone.  Returns an array of shape (..., len(times), d).
+    A, G, c and eta may carry leading stack axes, one system per slice
+    (a_matrix (R, d, d), eta (R, d), ...): the stack is the broadcast of
+    their leading axes, so an unstacked A marches with a stacked eta, and
+    stacks that do not broadcast raise ValueError.  Every system marches
+    over the same times and knots in the same products and gets the numbers
+    it gets alone.  Returns an array of shape stack + (len(times), d).
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
+    gain = np.asarray(gain, dtype=float)
     eta = np.asarray(eta, dtype=float)
     times = np.asarray(times, dtype=float)
     lo, hi = exosystem.domain
@@ -324,7 +327,8 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
             raise AlignmentError(
                 f"t={outside[0]} outside the forcing's sample range [{lo}, {hi}]"
             )
-    stack = a_matrix.shape[:-2]
+    stack = np.broadcast_shapes(a_matrix.shape[:-2], gain.shape[:-2], eta.shape[:-1],
+                                np.shape(constant)[:-1])
     d, m = eta.shape[-1], len(exosystem.generator)
     if not times.size:
         return np.empty(stack + (0, d))
