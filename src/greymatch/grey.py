@@ -190,6 +190,9 @@ def _guarded(a_matrix, t1, times):
         return a_matrix
     ahead = float(times.max(initial=t1)) - t1
     behind = t1 - float(times.min(initial=t1))
+    if not np.isfinite(ahead + behind):
+        # a time that is not finite, which exosystem_response names
+        return a_matrix
     # |Re lambda| <= |A|_1, so the eigenvalues are needed only where the
     # 1-norm times the span exceeds the budget (a NaN goes on to them too)
     if np.abs(a_matrix).sum(axis=-2).max() * max(ahead, behind) <= RESPONSE_GROWTH_BUDGET:

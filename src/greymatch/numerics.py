@@ -302,7 +302,8 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     prefix scan z_k = P_zz z_(k-1) + kick_k.  The kicks are small
     single-step responses, so no large ramps cancel, and the result
     agrees with stopping at each knot to round-off.  Times outside the
-    domain of sampled forcing raise AlignmentError.  The inputs [G | c]
+    domain of sampled forcing raise AlignmentError, and a time or t1 that
+    is not finite raises ValueError naming it.  The inputs [G | c]
     enter divided by g, one power of two at least their largest entry,
     and their state (w, then 1 for c) multiplied by g: the scaling is
     exact, and the generator's 1-norm, which sets only the squarings of
@@ -319,6 +320,9 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     gain = np.asarray(gain, dtype=float)
     eta = np.asarray(eta, dtype=float)
     times = np.asarray(times, dtype=float)
+    if not (np.isfinite(times).all() and np.isfinite(t1)):
+        bad = np.append(times, t1)
+        raise ValueError(f"t={bad[~np.isfinite(bad)][0]} is not a finite time")
     lo, hi = exosystem.domain
     if -np.inf < lo or hi < np.inf:
         reached = np.append(times, t1)

@@ -50,7 +50,10 @@ class SimulationScenario:
 
     a_matrix must be a non-empty d x d matrix, initial_state of shape (d,),
     and, when given, b_matrix of shape (d, forcing.dimension) and constant
-    of shape (d,); otherwise ValueError names the field.
+    of shape (d,).  snr and step must be finite and > 0, t_span two finite
+    increasing times that step divides, horizon >= 0, noise_exponent
+    finite and noise_scale finite and >= 0.  Otherwise ValueError names the
+    field.
     """
 
     a_matrix: np.ndarray
@@ -82,16 +85,23 @@ class SimulationScenario:
             value = getattr(self, name)
             if np.shape(value) != want and (value is not None or name == "initial_state"):
                 raise ValueError(f"{name} must have shape {want}, got {np.shape(value)}")
-        if self.snr <= 0:
-            raise ValueError("snr must be positive")
+        t0, t_end = self.t_span
+        for name, valid, rule in (
+                ("snr", self.snr > 0, "a finite number > 0"),
+                ("t_span", t0 < t_end, "two finite increasing times"),
+                ("step", self.step > 0, "a finite number > 0"),
+                ("horizon", self.horizon >= 0, "an integer >= 0"),
+                ("noise_exponent", True, "a finite number"),
+                ("noise_scale", self.noise_scale >= 0, "a finite number >= 0")):
+            if not (valid and np.isfinite(getattr(self, name)).all()):
+                raise ValueError(f"{name!r} must be {rule}, got {getattr(self, name)!r}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "seed", int(self.seed))
-        span = self.t_span[1] - self.t_span[0]
-        count = span / self.step
+        count = (t_end - t0) / self.step
         if abs(count - round(count)) > 1e-9:
             raise ValueError("step must divide the time span")
 

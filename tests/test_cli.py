@@ -423,6 +423,16 @@ class TestSimulate:
         ("initial_state", ["1.2", 0.35]),
         ("B", [[True]]),
         ("constant", ["0.5", 0.5]),
+        ("step", 0),
+        ("step", -0.25),
+        ("t_span", [5.0, 0.0]),
+        ("t_span", [0.0, float("inf")]),
+        ("snr", float("nan")),
+        ("snr", float("inf")),
+        ("noise_exponent", float("nan")),
+        ("noise_scale", -1.1),
+        ("noise_scale", float("inf")),
+        ("horizon", -1),
     ])
     def test_wrongly_typed_scenario_is_a_usage_error(self, capsys, tmp_path,
                                                      field, value):

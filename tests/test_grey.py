@@ -308,6 +308,38 @@ class TestStackedFits:
         with pytest.raises(OverflowGuardError, match="slice 1 of the stack"):
             grey.select_initial_value(y, a, b, c, gm.ZeroForcing(), "least_squares")
 
+    def test_overflowing_system_masks_its_whole_slice(self):
+        # B (2, 3, 1, 1): two systems per A, and the second system of
+        # A-slice 1 overflows (dz/dt = -0.05 z + 1e307 t)
+        a = np.broadcast_to(np.array([[-0.05]]), (3, 1, 1))
+        b = np.ones((2, 3, 1, 1))
+        b[1, 1] = 1e307
+        eta, times = np.ones((3, 1)), np.arange(1.0, 101.0)
+        with record_failures(3) as failed:
+            values = grey.linear_response(a, b, None, gm.PolynomialForcing(1), eta,
+                                          1.0, times)
+        assert values.shape == (2, 3, len(times), 1)
+        assert list(failed) == [None, OverflowGuardError, None]
+        assert not values[:, 1].any()
+        for j in range(2):
+            for k in (0, 2):
+                assert np.array_equal(values[j, k], grey.linear_response(
+                    a[k], b[j, k], None, gm.PolynomialForcing(1), eta[k], 1.0, times))
+        with pytest.raises(OverflowGuardError, match="slice 1 of the stack"):
+            grey.linear_response(a, b, None, gm.PolynomialForcing(1), eta, 1.0, times)
+
+    def test_unstacked_refusal_names_no_slice(self):
+        # one A with two systems on B's leading axis is one slice
+        a, b = np.array([[-0.05]]), np.array([[[1.0]], [[1e307]]])
+        with pytest.raises(OverflowGuardError, match="overflows") as refused:
+            grey.linear_response(a, b, None, gm.PolynomialForcing(1), np.ones(1), 1.0,
+                                 np.arange(1.0, 101.0))
+        assert "slice" not in str(refused.value)
+        with pytest.raises(OverflowGuardError, match="budget") as refused:
+            grey.linear_response(np.array([[3.0]]), np.zeros((2, 1, 0)), None,
+                                 gm.ZeroForcing(), np.ones(1), 0.0, np.arange(21.0))
+        assert "slice" not in str(refused.value)
+
     def test_guard_refuses_only_its_slice(self):
         a = np.array([[[-0.2]], [[3.0]], [[0.1]]])  # |A| * span = 3 * 20 in slice 1
         b, c, eta = np.zeros((3, 1, 0)), np.ones((3, 1)), np.ones((3, 1))
@@ -372,6 +404,21 @@ class TestGrowthGuard:
         assert np.isfinite(values).all()
         for k in (0, 2):
             assert np.array_equal(values[k], grey.linear_response(a, stack_b[k], None, *args))
+
+    @pytest.mark.parametrize("rate, t1, times, bad", [
+        (-0.2, 0.0, [0.0, np.nan, 2.0], "nan"),
+        (0.2, 0.0, [1.0, np.inf], "inf"),
+        (-0.2, 0.0, [-np.inf, 1.0], "-inf"),
+        (0.2, np.nan, [1.0], "nan"),
+    ])
+    def test_time_that_is_not_finite_is_named_not_guarded(self, rate, t1, times, bad):
+        # the guard leaves a non-finite span to the propagator, which names
+        # the time, whether exp(A t) would grow or not
+        for stack in ((), (3,)):
+            a = np.full(stack + (1, 1), rate)
+            with pytest.raises(ValueError, match=f"^t={bad} is not a finite time"):
+                grey.linear_response(a, np.zeros(stack + (1, 0)), None, gm.ZeroForcing(),
+                                     np.ones(stack + (1,)), t1, np.array(times))
 
     def test_overflowing_least_squares_initial_value_is_refused(self):
         # the same system marched for the least_squares initial value: its

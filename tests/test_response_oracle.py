@@ -313,6 +313,43 @@ class TestReadOut:
             assert np.array_equal(got[k], gm.exosystem_response(
                 a[k], gain[k], c[k], exo, eta[k], 0.75, times))
 
+    @pytest.mark.parametrize("stacked", ["gain", "constant", "eta"])
+    def test_unstacked_a_marches_a_stacked_input(self, kind, stacked):
+        # the stack is the broadcast of every input's leading axes
+        a, gain, c, exo, eta = readout_case(kind, stack=(3,))
+        inputs = {"gain": gain, "constant": c, "eta": eta}
+        single = {name: value[0] for name, value in inputs.items()}
+        times = np.array([4.5, -2.0, 1.0, 1.0, -0.5, 3.25, 0.0, 5.5])
+
+        def respond(value):
+            return gm.exosystem_response(a[0], exosystem=exo, t1=0.75, times=times,
+                                         **{**single, stacked: value})
+
+        got = respond(inputs[stacked])
+        assert got.shape == (3, len(times), 2)
+        for k in range(3):
+            assert np.array_equal(got[k], respond(inputs[stacked][k]))
+
+    def test_stacks_that_do_not_broadcast_are_refused(self, kind):
+        a, gain, c, exo, eta = readout_case(kind, stack=(3,))
+        times = np.array([1.0, 2.0])
+        with pytest.raises(ValueError):
+            gm.exosystem_response(a, gain, c, exo, eta[:2], 0.75, times)
+        with pytest.raises(ValueError):
+            gm.exosystem_response(a[0], gain[:2], c, exo, eta[0], 0.75, times)
+
+    @pytest.mark.parametrize("stack", [(), (3,)], ids=["unstacked", "stacked"])
+    @pytest.mark.parametrize("t1, times, bad", [
+        (0.5, [0.0, np.nan, 2.0], "nan"),
+        (0.5, [1.0, np.inf], "inf"),
+        (0.5, [-np.inf, 1.0], "-inf"),
+        (np.nan, [1.0, 2.0], "nan"),
+    ])
+    def test_times_that_are_not_finite_are_named(self, kind, stack, t1, times, bad):
+        a, gain, c, exo, eta = readout_case(kind, stack)
+        with pytest.raises(ValueError, match=f"^t={bad} is not a finite time"):
+            gm.exosystem_response(a, gain, c, exo, eta, t1, np.array(times))
+
     def test_no_times_give_no_rows(self, kind):
         for stack in ((), (3,)):
             a, gain, c, exo, eta = readout_case(kind, stack)

@@ -59,6 +59,32 @@ class TestScenario:
         assert sc.b_matrix.shape == (2, 1) and sc.constant.shape == (2,)
         assert scenario(sim_system, b_matrix=np.zeros((2, 0))).d == 2
 
+    @pytest.mark.parametrize("field, value", [
+        ("step", 0.0),
+        ("step", -0.25),
+        ("step", np.nan),
+        ("t_span", (5.0, 0.0)),
+        ("t_span", (0.0, 0.0)),
+        ("t_span", (0.0, np.inf)),
+        ("t_span", (np.nan, 5.0)),
+        ("snr", 0.0),
+        ("snr", np.nan),
+        ("snr", np.inf),
+        ("noise_exponent", np.nan),
+        ("noise_exponent", -np.inf),
+        ("noise_scale", -1.1),
+        ("noise_scale", np.nan),
+        ("noise_scale", np.inf),
+        ("horizon", -1),
+    ])
+    def test_values_out_of_range_are_named(self, sim_system, field, value):
+        with pytest.raises(ValueError, match=f"^{field!r} must be"):
+            scenario(sim_system, **{field: value})
+
+    def test_edge_values_pass(self, sim_system):
+        sc = scenario(sim_system, horizon=0, noise_scale=0.0, noise_exponent=-1.0)
+        assert len(sc.times()) == sc.n
+
     def test_step_must_divide_span(self, sim_system):
         with pytest.raises(ValueError):
             scenario(sim_system, step=0.3)
