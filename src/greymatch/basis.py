@@ -9,14 +9,16 @@ exactly and from which the derivative u' = C S w is read.  The constant term
 is not a basis component: the grey pipeline always carries it separately and
 the matching pipeline attaches it explicitly.
 
-A spec is treated as immutable: it builds its exosystem on the first call
-of `exosystem()` and keeps it (exogenous forcing its trapezoid integral
-too), outside its dataclass fields, so equality, repr and serialization
-see only the fields, and a `dataclasses.replace` copy builds its own.
+A spec is treated as immutable: its `exosystem` attribute is a
+`functools.cached_property`, built on first access and kept (exogenous
+forcing keeps its trapezoid integral the same way) in the instance
+dictionary, outside its dataclass fields, so equality, repr and
+serialization see only the fields, and a `dataclasses.replace` copy builds
+its own.
 """
 
 from dataclasses import dataclass, field
-from functools import wraps
+from functools import cached_property
 from math import factorial, pi
 from typing import Callable
 
@@ -62,21 +64,6 @@ def _block_diagonal(blocks):
     return out
 
 
-def _built_once(build):
-    """A method without arguments that builds on the first call and keeps
-    the result on the spec, outside its fields, under its own name with a
-    leading underscore."""
-    key = f"_{build.__name__}"
-
-    @wraps(build)
-    def built(self):
-        if key not in self.__dict__:
-            object.__setattr__(self, key, build(self))
-        return self.__dict__[key]
-
-    return built
-
-
 def _times(t):
     """t as a float array, with a trailing axis for the state components."""
     return np.asarray(t, dtype=float)[..., None]
@@ -86,7 +73,7 @@ def _times(t):
 class ZeroForcing:
     """No forcing input (autonomous model).
 
-    Treated as immutable: its exosystem is built once and kept.
+    Treated as immutable: its `exosystem` is built on first access and kept.
     """
 
     @property
@@ -99,7 +86,7 @@ class ZeroForcing:
     def antiderivatives(self, times):
         return np.zeros((len(np.atleast_1d(times)), 0))
 
-    @_built_once
+    @cached_property
     def exosystem(self):
         return Exosystem(np.zeros((0, 0)), np.zeros((0, 0)),
                          lambda t, forward=True: np.zeros(np.shape(t) + (0,)))
@@ -109,7 +96,7 @@ class ZeroForcing:
 class PolynomialForcing:
     """Monomial basis u_i(t) = t^i for i = 1..degree (constant excluded).
 
-    Treated as immutable: its exosystem is built once and kept.
+    Treated as immutable: its `exosystem` is built on first access and kept.
     """
 
     degree: int
@@ -133,7 +120,7 @@ class PolynomialForcing:
             [t ** (i + 1) / (i + 1) for i in range(1, self.degree + 1)]
         )
 
-    @_built_once
+    @cached_property
     def exosystem(self):
         # w_j = t^j / j! for j = 0..degree: w_j' = w_{j-1} and u_i = i! w_i.
         scale = np.array([factorial(j) for j in range(self.degree + 1)], dtype=float)
@@ -147,7 +134,7 @@ class PolynomialForcing:
 class FourierForcing:
     """Interleaved pairs u_{2i-1} = sin(2 i pi f t), u_{2i} = cos(2 i pi f t).
 
-    Treated as immutable: its exosystem is built once and kept.
+    Treated as immutable: its `exosystem` is built on first access and kept.
     """
 
     pairs: int
@@ -182,7 +169,7 @@ class FourierForcing:
             cols.append(np.sin(w * t) / w)
         return np.column_stack(cols)
 
-    @_built_once
+    @cached_property
     def exosystem(self):
         # Each pair (sin wt, cos wt) turns as w' = [[0, w], [-w, 0]] w.
         rotation = np.kron(np.diag(self._omegas()), [[0.0, 1.0], [-1.0, 0.0]])
@@ -196,9 +183,9 @@ class ExogenousForcing:
     """Forcing sampled from an observed series; values between samples are
     linearly interpolated when a continuous evaluation is required.
 
-    Treated as immutable: its exosystem and its trapezoid integral are
-    built once and kept, so the series' arrays are not to be changed in
-    place afterwards.
+    Treated as immutable: its `exosystem` and its trapezoid integral are
+    built on first access and kept, so the series' arrays are not to be
+    changed in place afterwards.
     """
 
     series: VectorSeries
@@ -223,15 +210,15 @@ class ExogenousForcing:
     def values(self, times):
         return self.series.values[self._align(times)]
 
-    @_built_once
+    @cached_property
     def _trapezoid(self):
         # the trapezoid integral over every sample, as the propagator marches u
         return integrate_piecewise_linear(self.series).values
 
     def antiderivatives(self, times):
-        return self._trapezoid()[self._align(times)]
+        return self._trapezoid[self._align(times)]
 
-    @_built_once
+    @cached_property
     def exosystem(self):
         # w = (u, du/dt), with du/dt constant between samples: every sample
         # time is a knot where the slope changes.
@@ -258,7 +245,7 @@ class ExogenousForcing:
 class MixedForcing:
     """Concatenation of several forcing specs.
 
-    Treated as immutable: its exosystem is built once and kept.
+    Treated as immutable: its `exosystem` is built on first access and kept.
     """
 
     parts: tuple
@@ -278,9 +265,9 @@ class MixedForcing:
     def antiderivatives(self, times):
         return np.column_stack([p.antiderivatives(times) for p in self.parts])
 
-    @_built_once
+    @cached_property
     def exosystem(self):
-        parts = [p.exosystem() for p in self.parts]
+        parts = [p.exosystem for p in self.parts]
 
         def state(t, forward=True):
             return np.concatenate([e.state(t, forward) for e in parts], axis=-1)

@@ -166,7 +166,7 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
     """
     times = np.asarray(times, dtype=float)
     a_matrix = _guarded(np.asarray(a_matrix, dtype=float), t1, times)
-    exo = spec.exosystem()
+    exo = spec.exosystem
     # overflow shows as a non-finite result, refused below
     with np.errstate(over="ignore", invalid="ignore"):
         values = _numerics.exosystem_response(a_matrix, b_matrix @ exo.output,
@@ -214,7 +214,7 @@ def _half_step_forcing_constant(grid, B, spec):
     u' = C S w read from the forcing's exosystem."""
     if not spec.dimension:
         return np.zeros(B.shape[:-1])
-    exo = spec.exosystem()
+    exo = spec.exosystem
     if not exo.is_polynomial:
         raise StrategyError("reduced_half_step needs polynomial forcing; "
                             f"got {type(spec).__name__}")

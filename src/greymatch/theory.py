@@ -148,7 +148,7 @@ def check_reduction_roundtrip(A, B, c, xi, spec, grid, tolerance=1e-6):
 
     y = _grey.linear_response(A, B, c, spec, xi, t1, t)
     x1 = reduce_order(A, B, c, xi, spec, t1)
-    exo = spec.exosystem()
+    exo = spec.exosystem
     gain = B @ exo.output @ exo.generator
 
     def x_at(times):

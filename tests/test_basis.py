@@ -24,7 +24,7 @@ def analytic_derivative(spec, t):
 
 def exosystem_derivative(spec, t):
     """u'(t) = C S w(t), read from the spec's exosystem w' = S w, u = C w."""
-    exo = spec.exosystem()
+    exo = spec.exosystem
     return exo.output @ exo.generator @ exo.state(t)
 
 
@@ -136,7 +136,7 @@ class TestExogenous:
 
     def test_exosystem_interpolates(self):
         spec = self.make_spec()
-        exo = spec.exosystem()
+        exo = spec.exosystem
         # halfway between samples 0.5 and 1.0, marching either way
         for forward in (True, False):
             u = exo.output @ exo.state(0.75, forward)
@@ -156,7 +156,7 @@ class TestPolynomialCoefficients:
         spec = gm.PolynomialForcing(2)
         B = np.array([[0.5, 0.25]])
         c = np.array([2.0])
-        exo = spec.exosystem()
+        exo = spec.exosystem
         for t in (-1.5, 0.0, 0.7, 3.0):
             g = B @ exo.output @ exo.state(t) + c
             assert np.allclose(g, [np.polyval([0.25, 0.5, 2.0], t)])
@@ -169,19 +169,19 @@ class TestPolynomialCoefficients:
         assert np.allclose(out.T, [[1.0], [-1.0]])
 
     def test_homogeneous_case(self):
-        exo = gm.ZeroForcing().exosystem()
+        exo = gm.ZeroForcing().exosystem
         assert exo.generator.shape == exo.output.shape == (0, 0)
         assert exo.state(1.0).shape == (0,)
 
     def test_fourier_not_polynomial(self):
         spec = gm.FourierForcing(pairs=1, frequency=1.0)
-        assert not spec.exosystem().is_polynomial
-        assert gm.PolynomialForcing(3).exosystem().is_polynomial
+        assert not spec.exosystem.is_polynomial
+        assert gm.PolynomialForcing(3).exosystem.is_polynomial
 
     def test_derivative_monomials(self):
         # du/dt is the exosystem output C S w
         spec = gm.PolynomialForcing(3)
-        exo = spec.exosystem()
+        exo = spec.exosystem
         dmono = np.array([[1.0, 0.0, 0.0],
                           [0.0, 2.0, 0.0],
                           [0.0, 0.0, 3.0]])
@@ -229,7 +229,7 @@ class TestVectorisedState:
     @pytest.mark.parametrize("kind", list(every_kind()))
     def test_array_of_times_stacks_the_scalar_calls(self, kind):
         # between samples, at the samples themselves and at both ends
-        exo = every_kind()[kind].exosystem()
+        exo = every_kind()[kind].exosystem
         times = np.array([0.0, 0.2, 0.4, 0.7, 1.0, 1.3, 2.0, 2.5, 2.9, 3.0])
         for forward in (True, False):
             rows = np.stack([exo.state(t, forward) for t in times])
@@ -239,7 +239,7 @@ class TestVectorisedState:
 
     def test_sample_states_differ_by_the_change_of_slope(self):
         spec = every_kind()["exogenous"]
-        exo, own = spec.exosystem(), spec.series.grid.points
+        exo, own = spec.exosystem, spec.series.grid.points
         jump = exo.state(own[1:-1], True) - exo.state(own[1:-1], False)
         slopes = np.diff(spec.series.values, axis=0) / np.diff(own)[:, None]
         assert np.allclose(jump[:, 2:], np.diff(slopes, axis=0), rtol=1e-14)
@@ -250,13 +250,13 @@ class TestExosystemBuiltOnce:
     @pytest.mark.parametrize("kind", list(every_kind()))
     def test_kept_on_the_spec(self, kind):
         spec = every_kind()[kind]
-        assert spec.exosystem() is spec.exosystem()
+        assert spec.exosystem is spec.exosystem
 
     @pytest.mark.parametrize("kind", list(every_kind()))
     def test_fields_alone_are_seen(self, kind):
         spec, fresh = every_kind()[kind], every_kind()[kind]
         text, config = repr(spec), gm.spec_to_config(spec)
-        spec.exosystem()
+        spec.exosystem
         assert repr(spec) == text == repr(fresh)
         assert gm.spec_to_config(spec) == config
         if kind not in ("exogenous", "mixed"):
@@ -276,10 +276,10 @@ class TestExosystemBuiltOnce:
     @pytest.mark.parametrize("kind", ["fourier", "exogenous", "mixed"])
     def test_replaced_copy_builds_its_own(self, kind):
         spec = every_kind()[kind]
-        built = spec.exosystem()
+        built = spec.exosystem
         copy = replace(spec)
-        assert copy.exosystem() is not built
-        assert np.array_equal(copy.exosystem().generator, built.generator)
+        assert copy.exosystem is not built
+        assert np.array_equal(copy.exosystem.generator, built.generator)
         if kind == "fourier":
             faster = replace(spec, frequency=0.6)
-            assert np.array_equal(faster.exosystem().generator, 2.0 * built.generator)
+            assert np.array_equal(faster.exosystem.generator, 2.0 * built.generator)

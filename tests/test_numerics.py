@@ -337,7 +337,7 @@ class TestKnotScan:
         times = 1.0 + 0.5 * np.arange(samples)
         spec = ExogenousForcing(make_series(times, rng.normal(size=(samples, 1))))
         calls = {"expm": 0, "state": 0}
-        exo, expm = spec.exosystem(), numerics.expm
+        exo, expm = spec.exosystem, numerics.expm
 
         def counted_state(t, forward=True):
             calls["state"] += 1

@@ -163,7 +163,7 @@ def test_stacked_response_matches_solve_ivp(kind):
         spec = gm.FourierForcing(2, 0.3)
     elif kind == "exogenous":
         spec = random_spec(rng, "exogenous", times[0], times[-1])
-        assert spec.exosystem().knots.size > 2
+        assert spec.exosystem.knots.size > 2
     else:
         spec = gm.PolynomialForcing(2)
     stack = 4
@@ -273,7 +273,7 @@ def readout_case(kind, stack=()):
     rng = np.random.default_rng([KINDS.index(kind), len(stack)])
     spec = (gm.PolynomialForcing(2) if kind == "polynomial"
             else exogenous(rng, -3.0 + 0.5 * np.arange(19)))
-    exo = spec.exosystem()
+    exo = spec.exosystem
     a = np.array([make_stable_system(rng, 2) for _ in range(stack[0] if stack else 1)])
     b = rng.normal(size=(len(a), 2, spec.dimension))
     c, eta = rng.normal(size=(2, len(a), 2))
