@@ -205,12 +205,15 @@ class ReproductionReport:
 
     case: str
     rows: list
-    passed: bool
     notes: list = field(default_factory=list)
 
     @property
     def failures(self):
         return [row for row in self.rows if row["checked"] and not row["passed"]]
+
+    @property
+    def passed(self):
+        return not self.failures
 
 
 def _row(model, item, computed, reference, tolerance, checked=True):
@@ -282,8 +285,7 @@ def reproduce_water(tolerance_value=0.01, tolerance_pct=0.05):
         "strategy, a rule reconstructed from the reference column's "
         "y(1)=21.5509 (see grey.select_initial_value)."
     ]
-    passed = all(r["passed"] for r in rows)
-    return ReproductionReport("water", rows, passed, notes)
+    return ReproductionReport("water", rows, notes)
 
 
 def _scenario(n, snr, reps, seed):
@@ -330,8 +332,7 @@ def reproduce_parameter_table(reps=200, seed=DEFAULT_SIM_SEED, cells=None):
                 rows.append(_row(label, f"{key}[{j}]", value, ref, tol,
                                  checked=checked))
         rows.append(_structural_gap_row(label, summary.max_structural_gap))
-    passed = all(r["passed"] for r in rows if r["checked"])
-    return ReproductionReport("simulation-parameters", rows, passed, notes)
+    return ReproductionReport("simulation-parameters", rows, notes)
 
 
 def reproduce_error_medians(reps=200, seed=DEFAULT_SIM_SEED):
@@ -370,5 +371,4 @@ def reproduce_error_medians(reps=200, seed=DEFAULT_SIM_SEED):
                      "computed": float(n_axis[0]), "reference": float(n_axis[-1]),
                      "diff": 0.0, "tolerance": 0.0, "checked": True,
                      "passed": bool(n_axis[0] > n_axis[1] > n_axis[2])})
-    passed = all(r["passed"] for r in rows if r["checked"])
-    return ReproductionReport("simulation-errors", rows, passed, notes)
+    return ReproductionReport("simulation-errors", rows, notes)

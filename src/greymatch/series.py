@@ -14,6 +14,7 @@ the time axis of each, so a single series is the one-slice case.
 import csv as _csv
 from contextlib import nullcontext
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -182,8 +183,9 @@ def mape(actual, predicted, split_index):
 def read_csv(path):
     """Read a series from CSV with header `t,x1,...,xd`.
 
-    Rows must be sorted by t; any parse failure aborts with the offending
-    line number.
+    Rows must be sorted by t; any parse failure, a value or time that is
+    not finite, or a time not after the previous row's aborts with the
+    offending line number.
     """
     times = []
     rows = []
@@ -204,14 +206,17 @@ def read_csv(path):
                 parsed = [float(cell) for cell in row]
             except ValueError:
                 raise CsvFormatError(f"line {lineno}: non-numeric value in {row!r}")
+            if not all(map(isfinite, parsed)):
+                raise CsvFormatError(f"line {lineno}: non-finite value in {row!r}")
+            if times and not parsed[0] > times[-1]:
+                raise CsvFormatError(f"line {lineno}: time {parsed[0]!r} is not after "
+                                     f"the previous row's {times[-1]!r}; times must "
+                                     "be strictly increasing")
             times.append(parsed[0])
             rows.append(parsed[1:])
     if not times:
         raise CsvFormatError("line 2: no data rows found")
-    try:
-        return make_series(np.array(times), np.array(rows))
-    except ValueError as exc:
-        raise CsvFormatError(f"line 2: {exc}") from exc
+    return make_series(np.array(times), np.array(rows))
 
 
 def write_csv(target, series, column_names=None):

@@ -44,6 +44,12 @@ from .errors import record_failures
 QUARTILE_LEVELS = (0, 25, 50, 75, 100)
 
 
+def _is_count(value, low):
+    """Whether value is an int or numpy integer, not a bool, and >= low."""
+    return (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            and value >= low)
+
+
 @dataclass(frozen=True)
 class SimulationScenario:
     """A known system plus sampling, noise and replication settings.
@@ -51,8 +57,10 @@ class SimulationScenario:
     a_matrix must be a non-empty d x d matrix, initial_state of shape (d,),
     and, when given, b_matrix of shape (d, forcing.dimension) and constant
     of shape (d,).  snr and step must be finite and > 0, t_span two finite
-    increasing times that step divides, horizon >= 0, noise_exponent
-    finite and noise_scale finite and >= 0.  Otherwise ValueError names the
+    increasing times that step divides, noise_exponent finite and
+    noise_scale finite and >= 0.  replications, horizon and seed must be
+    integers (a bool is not one), replications >= 1 and horizon and seed
+    >= 0; they are kept as Python ints.  Otherwise ValueError names the
     field.
     """
 
@@ -90,17 +98,17 @@ class SimulationScenario:
                 ("snr", self.snr > 0, "a finite number > 0"),
                 ("t_span", t0 < t_end, "two finite increasing times"),
                 ("step", self.step > 0, "a finite number > 0"),
-                ("horizon", self.horizon >= 0, "an integer >= 0"),
                 ("noise_exponent", True, "a finite number"),
                 ("noise_scale", self.noise_scale >= 0, "a finite number >= 0")):
             if not (valid and np.isfinite(getattr(self, name)).all()):
                 raise ValueError(f"{name!r} must be {rule}, got {getattr(self, name)!r}")
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
-                or self.seed < 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        object.__setattr__(self, "seed", int(self.seed))
+        for name, low, rule in (
+                ("replications", 1, "an integer >= 1 (need at least one replication)"),
+                ("horizon", 0, "an integer >= 0"),
+                ("seed", 0, "an integer >= 0")):
+            if not _is_count(value := getattr(self, name), low):
+                raise ValueError(f"{name!r} must be {rule}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         count = (t_end - t0) / self.step
         if abs(count - round(count)) > 1e-9:
             raise ValueError("step must divide the time span")
@@ -299,8 +307,13 @@ def run_monte_carlo(scenario, horizons=(2, 5, 10)):
     seed): every replication draws from its own counter-based stream and
     gets the numbers it gets alone, so results do not depend on the block
     size or on how many replications run.  A replication that fails is
-    left out of the metrics and counted under its error class.
+    left out of the metrics and counted under its error class.  horizons
+    are the step counts ahead that are scored, each an integer >= 1 and at
+    most scenario.horizon; otherwise ValueError.
     """
+    for k in horizons:
+        if not _is_count(k, 1):
+            raise ValueError(f"'horizons' must hold integers >= 1, got {k!r}")
     horizons = tuple(int(k) for k in horizons)
     if horizons and max(horizons) > scenario.horizon:
         raise ValueError("scenario horizon is shorter than a requested step count")

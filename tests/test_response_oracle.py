@@ -228,6 +228,25 @@ def test_knots_match_solve_ivp(case):
         assert np.array_equal(got[k], alone)
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_uneven_200_point_grid_matches_solve_ivp(kind):
+    # 200 times with gaps uniform in [0.02, 0.08], so no two steps share a
+    # step exponential; three systems marched in one stack
+    rng = np.random.default_rng(11)
+    times = 0.5 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.02, 0.08, 199))])
+    spec = random_spec(rng, kind, times[0], times[-1])
+    stack = 3
+    a = np.array([make_stable_system(rng, 2) for _ in range(stack)])
+    b = rng.normal(size=(stack, 2, spec.dimension))
+    c = rng.normal(size=(stack, 2))
+    eta = rng.normal(size=(stack, 2))
+    got = linear_response(a, b, c, spec, eta, times[0], times)
+    assert got.shape == (stack, 200, 2)
+    for k in range(stack):
+        want = oracle(a[k], b[k], c[k], spec, eta[k], times[0], times)
+        assert np.abs(got[k] - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
 @pytest.mark.parametrize("t1, times", [
     (0.0, [1.0, 2.0, 2.0]),
     (3.0, [2.0, 5.0, 1.0, 4.0, 1.0, 5.0]),

@@ -201,7 +201,20 @@ class TestCsv:
     def test_unsorted_times_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t,x1\n2,1\n1,2\n")
-        with pytest.raises(CsvFormatError):
+        with pytest.raises(CsvFormatError, match="line 3"):
+            gm.read_csv(path)
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("t,x1\n1,2\n2,3\n3,4\n4,5\n3.5,6\n6,7\n", 6, "strictly increasing"),
+        ("t,x1\n1,2\n2,3\n2,4\n", 4, "strictly increasing"),
+        ("t,x1\n1,2\n2,3\n3,nan\n4,5\n", 4, "non-finite"),
+        ("t,x1,x2\n1,2,3\n2,3,-inf\n", 3, "non-finite"),
+        ("t,x1\n1,2\ninf,3\n", 3, "non-finite"),
+    ])
+    def test_bad_row_names_its_own_line(self, tmp_path, text, line, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(CsvFormatError, match=f"^line {line}: .*{message}"):
             gm.read_csv(path)
 
 

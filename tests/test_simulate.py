@@ -76,10 +76,20 @@ class TestScenario:
         ("noise_scale", np.nan),
         ("noise_scale", np.inf),
         ("horizon", -1),
+        ("horizon", 2.5),
+        ("horizon", True),
+        ("replications", 0),
+        ("replications", 2.5),
+        ("replications", True),
     ])
     def test_values_out_of_range_are_named(self, sim_system, field, value):
         with pytest.raises(ValueError, match=f"^{field!r} must be"):
             scenario(sim_system, **{field: value})
+
+    @pytest.mark.parametrize("horizons", [(-1, 0), (2, 0), (2.5,), (True,)])
+    def test_requested_horizons_must_be_counts(self, sim_system, horizons):
+        with pytest.raises(ValueError, match="^'horizons' must hold integers >= 1"):
+            gm.run_monte_carlo(scenario(sim_system, replications=1), horizons)
 
     def test_edge_values_pass(self, sim_system):
         sc = scenario(sim_system, horizon=0, noise_scale=0.0, noise_exponent=-1.0)
@@ -281,7 +291,7 @@ class TestStructuralGapRow:
     @staticmethod
     def printed(capsys, gap):
         row = repro._structural_gap_row("n=21 snr=5.0", gap)
-        cli._print_report(repro.ReproductionReport("t", [row], row["passed"]), True)
+        cli._print_report(repro.ReproductionReport("t", [row]), True)
         return capsys.readouterr().out
 
     def test_round_off_does_not_change_the_row_text(self, capsys):
