@@ -11,14 +11,16 @@ the matching pipeline attaches it explicitly.
 
 A spec is treated as immutable: its `exosystem` attribute is a
 `functools.cached_property`, built on first access and kept (exogenous
-forcing keeps its trapezoid integral the same way) in the instance
-dictionary, outside its dataclass fields, so equality, repr and
-serialization see only the fields, and a `dataclasses.replace` copy builds
-its own.
+forcing keeps its trapezoid integral, Fourier forcing its frequencies, the
+same way) in the instance dictionary, outside its dataclass fields, so
+equality, repr and serialization see only the fields, and a
+`dataclasses.replace` copy builds its own.  An exosystem's state is a
+module-level function, so a spec, and a fitted model holding it, pickles
+and copies after its exosystem is built.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import factorial, pi
 from typing import Callable
 
@@ -69,6 +71,47 @@ def _times(t):
     return np.asarray(t, dtype=float)[..., None]
 
 
+# The exosystem states, module-level functions (bound with functools.partial)
+# so that a spec holding its built exosystem pickles and copies.
+
+def _no_state(t, forward=True):
+    return np.zeros(np.shape(t) + (0,))
+
+
+def _monomials(powers, scale, t, forward=True):
+    return _times(t) ** powers / scale
+
+
+def _sin_cos(omegas, t):
+    """sin(w t) and cos(w t) for each w in omegas: two arrays of shape
+    np.shape(t) + (len(omegas),)."""
+    wt = _times(t) * omegas
+    return np.sin(wt), np.cos(wt)
+
+
+def _interleaved(first, second):
+    """Columns first[..., 0], second[..., 0], first[..., 1], ..."""
+    out = np.empty(first.shape + (2,))
+    out[..., 0] = first
+    out[..., 1] = second
+    return out.reshape(first.shape[:-1] + (2 * first.shape[-1],))
+
+
+def _harmonics(omegas, t, forward=True):
+    return _interleaved(*_sin_cos(omegas, t))
+
+
+def _sampled_state(own, at_sample, rate, t, forward=True):
+    # w(t) = at_sample[k] + rate[k] (t - own[k]) on the piece from sample k
+    k = np.searchsorted(own, t, side="right" if forward else "left") - 1
+    k = np.maximum(k, 0)
+    return at_sample[k] + rate[k] * (_times(t) - own[k, None])
+
+
+def _joined_state(states, t, forward=True):
+    return np.concatenate([state(t, forward) for state in states], axis=-1)
+
+
 @dataclass(frozen=True)
 class ZeroForcing:
     """No forcing input (autonomous model).
@@ -88,8 +131,7 @@ class ZeroForcing:
 
     @cached_property
     def exosystem(self):
-        return Exosystem(np.zeros((0, 0)), np.zeros((0, 0)),
-                         lambda t, forward=True: np.zeros(np.shape(t) + (0,)))
+        return Exosystem(np.zeros((0, 0)), np.zeros((0, 0)), _no_state)
 
 
 @dataclass(frozen=True)
@@ -127,7 +169,7 @@ class PolynomialForcing:
         powers = np.arange(self.degree + 1)
         return Exosystem(np.eye(self.degree + 1, k=-1),
                          np.eye(self.degree, self.degree + 1, k=1) * scale,
-                         lambda t, forward=True: _times(t) ** powers / scale)
+                         partial(_monomials, powers, scale))
 
 
 @dataclass(frozen=True)
@@ -150,32 +192,24 @@ class FourierForcing:
     def dimension(self):
         return 2 * self.pairs
 
+    @cached_property
     def _omegas(self):
-        return [2.0 * i * pi * self.frequency for i in range(1, self.pairs + 1)]
+        return np.array([2.0 * i * pi * self.frequency for i in range(1, self.pairs + 1)])
 
     def values(self, times):
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        cols = []
-        for w in self._omegas():
-            cols.append(np.sin(w * t))
-            cols.append(np.cos(w * t))
-        return np.column_stack(cols)
+        return _harmonics(self._omegas, np.atleast_1d(times))
 
     def antiderivatives(self, times):
-        t = np.atleast_1d(np.asarray(times, dtype=float))
-        cols = []
-        for w in self._omegas():
-            cols.append(-np.cos(w * t) / w)
-            cols.append(np.sin(w * t) / w)
-        return np.column_stack(cols)
+        omegas = self._omegas
+        sin, cos = _sin_cos(omegas, np.atleast_1d(times))
+        return _interleaved(-cos / omegas, sin / omegas)
 
     @cached_property
     def exosystem(self):
         # Each pair (sin wt, cos wt) turns as w' = [[0, w], [-w, 0]] w.
-        rotation = np.kron(np.diag(self._omegas()), [[0.0, 1.0], [-1.0, 0.0]])
+        rotation = np.kron(np.diag(self._omegas), [[0.0, 1.0], [-1.0, 0.0]])
         return Exosystem(rotation, np.eye(self.dimension),
-                         lambda t, forward=True: self.values(t).reshape(
-                             np.shape(t) + (self.dimension,)))
+                         partial(_harmonics, self._omegas))
 
 
 @dataclass(frozen=True)
@@ -198,9 +232,10 @@ class ExogenousForcing:
         t = np.atleast_1d(np.asarray(times, dtype=float))
         own = self.series.grid.points
         idx = np.searchsorted(own, t)
-        missing = (idx >= len(own)) | ~np.isclose(
-            own[np.minimum(idx, len(own) - 1)], t, rtol=1e-9, atol=1e-12
-        )
+        # np.isclose(own[idx], t, rtol=1e-9, atol=1e-12) written out; -inf,
+        # which it refuses, passes the inequality
+        gap = np.abs(own[np.minimum(idx, len(own) - 1)] - t)
+        missing = (idx >= len(own)) | ~(gap <= 1e-12 + 1e-9 * np.abs(t)) | np.isinf(t)
         if missing.any():
             raise AlignmentError(
                 f"exogenous series has no sample at t={t[missing][0]!r}"
@@ -227,18 +262,11 @@ class ExogenousForcing:
         p = self.dimension
         slopes = np.vstack([np.diff(values, axis=0) / np.diff(own)[:, None],
                             np.zeros((1, p))])
-        # w(t) = at_sample[k] + rate[k] (t - own[k]) on the piece from sample k
         at_sample = np.hstack([values, slopes])
         rate = np.hstack([slopes, np.zeros_like(slopes)])
-
-        def state(t, forward=True):
-            k = np.searchsorted(own, t, side="right" if forward else "left") - 1
-            k = np.maximum(k, 0)
-            return at_sample[k] + rate[k] * (_times(t) - own[k, None])
-
         return Exosystem(np.kron([[0.0, 1.0], [0.0, 0.0]], np.eye(p)),
-                         np.eye(p, 2 * p), state, knots=own,
-                         domain=(own[0], own[-1]))
+                         np.eye(p, 2 * p), partial(_sampled_state, own, at_sample, rate),
+                         knots=own, domain=(own[0], own[-1]))
 
 
 @dataclass(frozen=True)
@@ -268,14 +296,10 @@ class MixedForcing:
     @cached_property
     def exosystem(self):
         parts = [p.exosystem for p in self.parts]
-
-        def state(t, forward=True):
-            return np.concatenate([e.state(t, forward) for e in parts], axis=-1)
-
         return Exosystem(
             _block_diagonal([e.generator for e in parts]),
             _block_diagonal([e.output for e in parts]),
-            state,
+            partial(_joined_state, tuple(e.state for e in parts)),
             knots=np.sort(np.concatenate([e.knots for e in parts])),
             domain=(max(e.domain[0] for e in parts), min(e.domain[1] for e in parts)),
         )

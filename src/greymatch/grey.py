@@ -139,9 +139,11 @@ def fit_grey(raw, spec, strategy="fixed_first", background_lambda=0.5):
     lam = background_lambda
     y = _series.cusum(raw)
     u = spec.values(y.grid.points)
-    A, B, rest, residual = integral_regression(
-        raw, lam * y.values[..., :-1, :] + (1.0 - lam) * y.values[..., 1:, :],
-        lam * u[:-1] + (1.0 - lam) * u[1:])
+    # the background blend, built in one buffer
+    background = lam * y.values[..., :-1, :]
+    background += (1.0 - lam) * y.values[..., 1:, :]
+    A, B, rest, residual = integral_regression(raw, background,
+                                               lam * u[:-1] + (1.0 - lam) * u[1:])
     c = rest[..., 0, :]
     eta = select_initial_value(y, A, B, c, spec, strategy)
     return FittedModel(A, B, c, eta, spec, float(y.grid.points[0]), "grey",

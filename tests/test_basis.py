@@ -1,3 +1,5 @@
+import pickle
+from copy import deepcopy
 from dataclasses import replace
 
 import numpy as np
@@ -117,6 +119,19 @@ class TestExogenous:
         with pytest.raises(AlignmentError):
             spec.values(np.array([0.25]))
 
+    @pytest.mark.parametrize("t", [-np.inf, np.inf, np.nan])
+    def test_time_that_is_not_finite_rejected(self, t):
+        with pytest.raises(AlignmentError):
+            self.make_spec().values(np.array([t]))
+
+    def test_alignment_tolerance_boundary(self):
+        # a time matches the sample at 2.0 within 1e-12 + 1e-9 |t|
+        spec = self.make_spec()
+        tolerance = 1e-12 + 1e-9 * 2.0
+        assert spec.values(np.array([2.0 - 0.9 * tolerance]))[0, 0] == np.sin(2.0)
+        with pytest.raises(AlignmentError):
+            spec.values(np.array([2.0 - 1.1 * tolerance]))
+
     def test_antiderivative_matches_trapezoid(self):
         spec = self.make_spec()
         t = np.arange(0.0, 5.0, 0.5)
@@ -211,8 +226,7 @@ class TestConfigRoundTrip:
             gm.spec_from_config({"kind": "spline"})
 
 
-def every_kind():
-    own = np.array([0.0, 0.4, 1.0, 1.3, 2.5, 3.0])
+def every_kind(own=np.array([0.0, 0.4, 1.0, 1.3, 2.5, 3.0])):
     sampled = gm.ExogenousForcing(gm.make_series(own, np.column_stack([np.sin(own),
                                                                          own ** 2])))
     return {
@@ -272,6 +286,19 @@ class TestExosystemBuiltOnce:
         before = gm.grey.model_to_dict(model)
         gm.grey.time_response(model, t)
         assert gm.grey.model_to_dict(model) == before
+
+    @pytest.mark.parametrize("pipeline", ["grey", "matching"])
+    @pytest.mark.parametrize("kind", list(every_kind()))
+    def test_fitted_model_pickles_after_predicting(self, kind, pipeline):
+        # the prediction builds the exosystem kept on the model's spec
+        t = np.linspace(0.0, 3.0, 16)
+        spec = every_kind(t)[kind]
+        raw = gm.make_series(t, 5.0 + np.cos(t) + 0.1 * t)
+        fit = gm.fit_grey if pipeline == "grey" else gm.fit_matching
+        model = fit(raw, spec)
+        pred = gm.predict_on_grid(model, raw.grid).values
+        for copy in (pickle.loads(pickle.dumps(model)), deepcopy(model)):
+            assert np.array_equal(gm.predict_on_grid(copy, raw.grid).values, pred)
 
     @pytest.mark.parametrize("kind", ["fourier", "exogenous", "mixed"])
     def test_replaced_copy_builds_its_own(self, kind):

@@ -226,3 +226,13 @@ class TestTimeGrid:
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):
             gm.TimeGrid(np.array([0.0, 0.0, 1.0]))
+
+    @pytest.mark.parametrize("spread, uniform", [(0.9, True), (1.1, False)])
+    def test_uniform_within_the_relative_step_tolerance(self, spread, uniform):
+        # the last step is 1 + spread * UNIFORM_RTOL against steps of 1
+        last = 3.0 + spread * gm.series.UNIFORM_RTOL
+        assert gm.TimeGrid(np.array([0.0, 1.0, 2.0, last])).is_uniform() is uniform
+
+    def test_one_or_two_points_are_uniform(self):
+        assert gm.TimeGrid(np.array([0.5])).is_uniform()
+        assert gm.TimeGrid(np.array([0.5, 2.0])).is_uniform()

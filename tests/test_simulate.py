@@ -81,6 +81,13 @@ class TestScenario:
         ("replications", 0),
         ("replications", 2.5),
         ("replications", True),
+        ("snr", True),
+        ("snr", "5"),
+        ("step", True),
+        ("noise_scale", False),
+        ("t_span", (0.0, "5")),
+        ("a_matrix", [["-0.25", "0.7"], ["0.75", "-0.25"]]),
+        ("initial_state", [True, False]),
     ])
     def test_values_out_of_range_are_named(self, sim_system, field, value):
         with pytest.raises(ValueError, match=f"^{field!r} must be"):
