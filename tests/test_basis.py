@@ -226,7 +226,8 @@ class TestConfigRoundTrip:
             gm.spec_from_config({"kind": "spline"})
 
 
-def every_kind(own=np.array([0.0, 0.4, 1.0, 1.3, 2.5, 3.0])):
+def every_kind(own=(0.0, 0.4, 1.0, 1.3, 2.5, 3.0)):
+    own = np.asarray(own)
     sampled = gm.ExogenousForcing(gm.make_series(own, np.column_stack([np.sin(own),
                                                                          own ** 2])))
     return {

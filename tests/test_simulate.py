@@ -86,6 +86,7 @@ class TestScenario:
         ("step", True),
         ("noise_scale", False),
         ("t_span", (0.0, "5")),
+        ("t_span", 5.0),
         ("a_matrix", [["-0.25", "0.7"], ["0.75", "-0.25"]]),
         ("initial_state", [True, False]),
     ])
