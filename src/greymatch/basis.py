@@ -21,7 +21,8 @@ and copies after its exosystem is built.
 
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from math import factorial, pi
+from math import factorial, inf, pi
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -185,8 +186,9 @@ class FourierForcing:
     def __post_init__(self):
         if self.pairs < 1:
             raise ValueError("fourier forcing needs at least one pair")
-        if self.frequency <= 0:
-            raise ValueError("fourier frequency must be positive")
+        if not 0 < 2.0 * pi * self.pairs * self.frequency < inf:
+            raise ValueError("fourier frequency must be positive, and the top "
+                             f"harmonic's 2 pi pairs frequency finite; got {self.frequency!r}")
 
     @property
     def dimension(self):
@@ -231,16 +233,19 @@ class ExogenousForcing:
     def _align(self, times):
         t = np.atleast_1d(np.asarray(times, dtype=float))
         own = self.series.grid.points
-        idx = np.searchsorted(own, t)
+        # the nearer of the samples on either side of each time
+        after = np.minimum(np.searchsorted(own, t), len(own) - 1)
+        before = np.maximum(after - 1, 0)
+        idx = np.where(np.abs(own[before] - t) < np.abs(own[after] - t), before, after)
         # np.isclose(own[idx], t, rtol=1e-9, atol=1e-12) written out; -inf,
         # which it refuses, passes the inequality
-        gap = np.abs(own[np.minimum(idx, len(own) - 1)] - t)
-        missing = (idx >= len(own)) | ~(gap <= 1e-12 + 1e-9 * np.abs(t)) | np.isinf(t)
+        gap = np.abs(own[idx] - t)
+        missing = ~(gap <= 1e-12 + 1e-9 * np.abs(t)) | np.isinf(t)
         if missing.any():
             raise AlignmentError(
                 f"exogenous series has no sample at t={t[missing][0]!r}"
             )
-        return np.minimum(idx, len(own) - 1)
+        return idx
 
     def values(self, times):
         return self.series.values[self._align(times)]
@@ -305,6 +310,9 @@ class MixedForcing:
         )
 
 
+SPECS = (ZeroForcing, PolynomialForcing, FourierForcing, ExogenousForcing, MixedForcing)
+
+
 def config_field(config, key, default, kinds, expected, owner="config"):
     """config[key], or default when absent; ValueError naming the field
     unless it is one of the given types (a JSON true or false never passes
@@ -315,21 +323,25 @@ def config_field(config, key, default, kinds, expected, owner="config"):
     return value
 
 
-def _json_numbers(value):
-    """Whether value is a JSON number or nested lists of them; true and
-    false do not count as numbers."""
-    if isinstance(value, (list, tuple)):
-        return all(map(_json_numbers, value))
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def real_array(value):
+    """value as a float array, or None unless it holds only real numbers
+    (no bool or string at any depth), nested rectangularly, each within
+    the range of a float."""
+    try:
+        items = np.asarray(value, dtype=object).flat
+        if all(isinstance(x, Real) and not isinstance(x, bool) for x in items):
+            return np.asarray(value, dtype=float)
+    except (ValueError, OverflowError):  # ragged, or an int beyond a float
+        pass
+    return None
 
 
 def config_array(config, key, owner="config"):
     """config[key] as a float array; ValueError naming the field unless it
-    holds JSON numbers or nested lists of them."""
-    value = config[key]
-    if not _json_numbers(value):
-        raise ValueError(f"{owner} field {key!r} must hold only numbers, got {value!r}")
-    return np.array(value, dtype=float)
+    holds only numbers (see real_array)."""
+    if (array := real_array(config[key])) is None:
+        raise ValueError(f"{owner} field {key!r} must hold only numbers, got {config[key]!r}")
+    return array
 
 
 def spec_to_config(spec):

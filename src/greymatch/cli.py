@@ -9,7 +9,7 @@ import argparse
 import csv as _csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -103,41 +103,9 @@ def cmd_forecast(args):
 
 
 def cmd_simulate(args):
-    payload = _load_json(args.scenario)
-
-    def field(key, kinds, expected, default=None):
-        return _basis.config_field(payload, key, default, kinds, expected, "scenario")
-
-    def integer(key, default=None):
-        return field(key, (int,), "an integer", default)
-
-    def number(key):
-        return float(field(key, (int, float), "a number"))
-
-    def array(key):
-        return _basis.config_array(payload, key, "scenario")
-
-    def pair(key):
-        if array(key).shape != (2,):
-            raise ValueError(f"scenario field {key!r} must be a list of two "
-                             f"numbers, got {payload[key]!r}")
-        return tuple(array(key).tolist())
-
-    # a field the file leaves out takes SimulationScenario's default
-    readers = {"forcing": lambda key: _basis.spec_from_config(payload[key]),
-               "B": array, "constant": array, "t_span": pair, "step": number,
-               "horizon": integer, "noise_exponent": number, "noise_scale": number,
-               "include_constant": lambda key: field(key, (bool,), "true or false")}
-    options = {("b_matrix" if key == "B" else key): read(key)
-               for key, read in readers.items() if key in payload}
-    scenario = _simulate.SimulationScenario(
-        a_matrix=array("A"),
-        initial_state=array("initial_state"),
-        snr=number("snr"),
-        replications=_given(args.reps, integer("replications", 200)),
-        seed=_given(args.seed, integer("seed", 0)),
-        **options,
-    )
+    scenario = _simulate.scenario_from_config(_load_json(args.scenario))
+    scenario = replace(scenario, replications=_given(args.reps, scenario.replications),
+                       seed=_given(args.seed, scenario.seed))
     summary = _simulate.run_monte_carlo(scenario)
     out_dir = Path(args.output or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -290,14 +258,16 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
+        # an overflow or invalid operation is a numerical error, not a NaN
+        with np.errstate(all="raise", under="ignore"):
+            return args.func(args)
     except FileNotFoundError as exc:
         return _fail(EXIT_USAGE, "file_not_found", str(exc))
     except (ValueError, KeyError, json.JSONDecodeError) as exc:
         return _fail(EXIT_USAGE, type(exc).__name__, str(exc))
     except DataError as exc:
         return _fail(EXIT_DATA, type(exc).__name__, str(exc))
-    except NumericalError as exc:
+    except (NumericalError, ArithmeticError) as exc:
         return _fail(EXIT_NUMERICAL, type(exc).__name__, str(exc))
     except GreymatchError as exc:
         return _fail(EXIT_DATA, type(exc).__name__, str(exc))

@@ -64,6 +64,14 @@ class FittedModel:
         return self.A.shape[-1]
 
 
+def require_points(n, cols):
+    """InsufficientDataError unless n points give a design of cols columns
+    its n - 1 rows; the fits check this before they evaluate the forcing."""
+    if n - 1 < cols:
+        raise InsufficientDataError(f"need at least {cols + 1} points for this "
+                                    f"model; got {n}")
+
+
 def integral_regression(raw, integral, forcing, ramp=None):
     """Least-squares fit of the integral form of dx/dt = A x + B u(t) + c.
 
@@ -81,10 +89,7 @@ def integral_regression(raw, integral, forcing, ramp=None):
     n, d = x.shape[-2:]
     p = forcing.shape[-1]
     cols = d + p + (ramp is not None) + 1
-    if n - 1 < cols:
-        raise InsufficientDataError(
-            f"need at least {cols + 1} points for this model; got {n}"
-        )
+    require_points(n, cols)
     # columns: integral | forcing | ramp (when given) | intercept
     design = np.ones(x.shape[:-2] + (n - 1, cols))
     design[..., :d] = integral
@@ -136,6 +141,7 @@ def fit_grey(raw, spec, strategy="fixed_first", background_lambda=0.5):
     used throughout the literature.
     """
     _check_grey_options(strategy, background_lambda)
+    require_points(raw.n, raw.d + spec.dimension + 1)
     lam = background_lambda
     y = _series.cusum(raw)
     u = spec.values(y.grid.points)
@@ -196,11 +202,13 @@ def _guarded(a_matrix, t1, times):
         # a time that is not finite, which exosystem_response names
         return a_matrix
     # |Re lambda| <= |A|_1, so the eigenvalues are needed only where the
-    # 1-norm times the span exceeds the budget (a NaN goes on to them too)
-    if np.abs(a_matrix).sum(axis=-2).max() * max(ahead, behind) <= RESPONSE_GROWTH_BUDGET:
-        return a_matrix
-    rates = np.linalg.eigvals(a_matrix).real
-    growth = np.maximum(rates.max(axis=-1) * ahead, -rates.min(axis=-1) * behind)
+    # 1-norm times the span exceeds the budget (an overflow or a NaN goes on
+    # to them too, and an infinite growth is refused)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.abs(a_matrix).sum(axis=-2).max() * max(ahead, behind) <= RESPONSE_GROWTH_BUDGET:
+            return a_matrix
+        rates = np.linalg.eigvals(a_matrix).real
+        growth = np.maximum(rates.max(axis=-1) * ahead, -rates.min(axis=-1) * behind)
     refused = growth > RESPONSE_GROWTH_BUDGET
     if not refused.any():
         return a_matrix
@@ -344,10 +352,8 @@ def model_to_dict(model):
 def _checked_array(key, value, shape=None):
     """A model-file field as a float array of the given shape (any shape
     when None) with finite entries; DataError names the field otherwise."""
-    try:
-        array = _basis.config_array({key: value}, key)
-    except ValueError:  # a non-number or ragged nesting
-        raise DataError(f"model field {key!r} is not numeric") from None
+    if (array := _basis.real_array(value)) is None:
+        raise DataError(f"model field {key!r} is not numeric")
     if shape is not None and array.shape != shape:
         raise DataError(f"model field {key!r} has shape {array.shape}; "
                         f"expected {shape}")

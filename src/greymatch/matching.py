@@ -11,7 +11,7 @@ ramp t_k - t_1.  The intercept estimates x(t_1).
 
 from . import series as _series
 from .grey import (FittedModel, fit_grey, integral_regression, predict_on_grid,
-                   read_config, time_response)
+                   read_config, require_points, time_response)
 
 # bench/workloads.py calls the response by this name.
 matching_time_response = time_response
@@ -20,6 +20,7 @@ matching_time_response = time_response
 def fit_matching(raw, spec, include_constant=True):
     """Jointly estimate structure and initial value by least squares; a
     stack of series gives one model per slice (see grey.FittedModel)."""
+    require_points(raw.n, raw.d + spec.dimension + bool(include_constant) + 1)
     x = raw.values
     t = raw.grid.points
     U = spec.antiderivatives(t)

@@ -167,13 +167,14 @@ def mape(actual, predicted, split_index):
     n = actual.n
     if not 1 <= split_index <= n:
         raise ValueError(f"split_index must be in [1, {n}], got {split_index}")
-    zero_rows, zero_cols = np.nonzero(actual.values == 0.0)
-    if len(zero_rows):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ape = np.abs((predicted.values - actual.values) / actual.values) * 100.0
+    bad_rows, bad_cols = np.nonzero(~np.isfinite(ape))
+    if len(bad_rows):
         raise ZeroValueError(
-            f"actual value is zero at index {zero_rows[0]} (component {zero_cols[0]}); "
-            "percentage error undefined"
+            f"actual value {float(actual.values[bad_rows[0], bad_cols[0]])!r} at index "
+            f"{bad_rows[0]} (component {bad_cols[0]}); percentage error undefined"
         )
-    ape = np.abs((predicted.values - actual.values) / actual.values) * 100.0
     mape_in = ape[:split_index].mean(axis=0)
     if split_index < n:
         mape_out = ape[split_index:].mean(axis=0)

@@ -2,6 +2,11 @@
 system, fit both pipelines on every replication, and summarize parameter
 recovery and forecast accuracy.
 
+Scenario:  SimulationScenario is the one check of a study's settings; it
+refuses a wrongly typed or out-of-range field by name and keeps reals as
+Python floats.  scenario_from_config reads a scenario file's JSON object
+into one (`greymatch simulate`), and judges nothing itself.
+
 Noise model:  each in-sample observation gets independent Gaussian noise
 with per-component standard deviation
 
@@ -30,9 +35,9 @@ masked row of the block, recorded with its error class by
 errors.record_failures, and left out of the metrics.
 """
 
+import math
 from collections import Counter
-from dataclasses import dataclass, field
-from numbers import Real
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,9 +45,18 @@ from . import basis as _basis
 from . import grey as _grey
 from . import matching as _matching
 from . import series as _series
-from .errors import record_failures
+from .errors import ZeroValueError, record_failures
 
 QUARTILE_LEVELS = (0, 25, 50, 75, 100)
+
+
+# The most samples, n + horizon, a replication may take.  A block holds
+# several (REPLICATION_BLOCK, n + horizon, d) float arrays, 16 MB per
+# component at the cap; the paper's studies take at most 111.
+MAX_SAMPLES = 10_000
+
+# scenario-file keys that differ from the field they fill
+FILE_KEYS = {"a_matrix": "A", "b_matrix": "B"}
 
 
 def _is_count(value, low):
@@ -51,9 +65,10 @@ def _is_count(value, low):
             and value >= low)
 
 
-def _is_real(value):
-    """Whether value is a real number, numpy's included, and not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
+def _refusal(name, rule, got):
+    """The ValueError naming a field, and its file key where that differs."""
+    key = f" (scenario file key {FILE_KEYS[name]!r})" if name in FILE_KEYS else ""
+    return ValueError(f"{name!r} must be {rule}, got {got}{key}")
 
 
 @dataclass(frozen=True)
@@ -62,13 +77,16 @@ class SimulationScenario:
 
     a_matrix must be a non-empty d x d matrix, initial_state of shape (d,),
     and, when given, b_matrix of shape (d, forcing.dimension) and constant
-    of shape (d,), each holding real numbers (not bools or strings).  snr
-    and step must be finite real numbers > 0, t_span two finite increasing
-    ones that step divides, noise_exponent finite and noise_scale finite
-    and >= 0; a bool is not a number.  replications, horizon and seed must
-    be integers (a bool is not one), replications >= 1 and horizon and seed
-    >= 0; they are kept as Python ints.  Otherwise ValueError names the
-    field.
+    of shape (d,), each of real numbers only (no bool or string at any
+    depth); they are kept as float arrays.  forcing must be a forcing spec
+    of at most n - d - 2 components and include_constant a bool.  snr and
+    step must be finite real numbers > 0, with snr**noise_exponent finite
+    and > 0, t_span two finite increasing ones that step divides,
+    noise_exponent finite and noise_scale finite and >= 0; they are kept as
+    Python floats.  replications, horizon and seed must be integers,
+    replications >= 1 and horizon and seed >= 0; they are kept as Python
+    ints.  A bool is not a number.  n + horizon may not exceed MAX_SAMPLES.
+    Otherwise ValueError names the field (and its FILE_KEYS key).
     """
 
     a_matrix: np.ndarray
@@ -89,43 +107,55 @@ class SimulationScenario:
     def __post_init__(self):
         for name in ("a_matrix", "initial_state", "b_matrix", "constant"):
             if (value := getattr(self, name)) is not None:
-                if np.asarray(value).dtype.kind not in "iuf":
-                    raise ValueError(f"{name!r} must be an array of real numbers, "
-                                     f"got {value!r}")
-                object.__setattr__(self, name, np.asarray(value, dtype=float))
+                if (array := _basis.real_array(value)) is None:
+                    raise _refusal(name, "an array of real numbers", repr(value))
+                object.__setattr__(self, name, array)
         shape = np.shape(self.a_matrix)
         if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
-            raise ValueError("a_matrix must be a non-empty square matrix, "
-                             f"got shape {shape}")
+            raise _refusal("a_matrix", "a non-empty square matrix", f"shape {shape}")
+        if not isinstance(self.forcing, _basis.SPECS):
+            raise _refusal("forcing", "a forcing spec", repr(self.forcing))
+        if not isinstance(self.include_constant, (bool, np.bool_)):
+            raise _refusal("include_constant", "true or false", repr(self.include_constant))
+        object.__setattr__(self, "include_constant", bool(self.include_constant))
         d = shape[0]
         for name, want in (("initial_state", (d,)), ("constant", (d,)),
                            ("b_matrix", (d, self.forcing.dimension))):
             value = getattr(self, name)
             if np.shape(value) != want and (value is not None or name == "initial_state"):
-                raise ValueError(f"{name} must have shape {want}, got {np.shape(value)}")
+                raise _refusal(name, f"of shape {want}", f"shape {np.shape(value)}")
         for name, in_range, rule in (
                 ("snr", lambda snr: snr > 0, "a finite number > 0"),
-                ("t_span", lambda span: np.shape(span) == (2,) and span[0] < span[1],
-                 "two finite increasing times"),
+                ("t_span", lambda t0, t_end: t0 < t_end, "two finite increasing times"),
                 ("step", lambda step: step > 0, "a finite number > 0"),
                 ("noise_exponent", lambda exponent: True, "a finite number"),
                 ("noise_scale", lambda scale: scale >= 0, "a finite number >= 0")):
-            value = getattr(self, name)
-            reals = value if name == "t_span" and np.ndim(value) else (value,)
-            if not (all(map(_is_real, reals)) and np.isfinite(reals).all()
-                    and in_range(value)):
-                raise ValueError(f"{name!r} must be {rule}, got {value!r}")
+            reals = _basis.real_array(value := getattr(self, name))
+            shape = (2,) if name == "t_span" else ()
+            if (reals is None or reals.shape != shape or not np.isfinite(reals).all()
+                    or not in_range(*reals.reshape(-1))):
+                raise _refusal(name, rule, repr(value))
+            object.__setattr__(self, name, tuple(reals.tolist()) if shape else float(reals))
+        with np.errstate(over="ignore", under="ignore"):
+            if not 0 < np.float64(self.snr) ** self.noise_exponent < np.inf:
+                raise _refusal("snr", "a number whose power noise_exponent is "
+                               "finite and > 0", repr(self.snr))
         for name, low, rule in (
                 ("replications", 1, "an integer >= 1 (need at least one replication)"),
                 ("horizon", 0, "an integer >= 0"),
                 ("seed", 0, "an integer >= 0")):
             if not _is_count(value := getattr(self, name), low):
-                raise ValueError(f"{name!r} must be {rule}, got {value!r}")
+                raise _refusal(name, rule, repr(value))
             object.__setattr__(self, name, int(value))
-        t0, t_end = self.t_span
-        count = (t_end - t0) / self.step
-        if abs(count - round(count)) > 1e-9:
-            raise ValueError("step must divide the time span")
+        count = (self.t_span[1] - self.t_span[0]) / self.step
+        if not (math.isfinite(count) and abs(count - round(count)) <= 1e-9):
+            raise _refusal("step", "a divisor of t_span with a finite count", repr(self.step))
+        if self.n + self.horizon > MAX_SAMPLES:
+            raise _refusal("step", f"coarse enough for n + horizon <= {MAX_SAMPLES}",
+                           f"{self.step!r}, n {self.n} and horizon {self.horizon}")
+        if self.forcing.dimension > self.n - d - 2:
+            raise _refusal("forcing", f"of at most n - d - 2 components, n = {self.n}",
+                           f"{self.forcing.dimension} components")
 
     @property
     def n(self):
@@ -137,6 +167,21 @@ class SimulationScenario:
 
     def times(self):
         return self.t_span[0] + self.step * np.arange(self.n + self.horizon)
+
+
+def scenario_from_config(config):
+    """The SimulationScenario of a scenario file's JSON object: A and B fill
+    a_matrix and b_matrix, forcing is read by basis.spec_from_config, and
+    replications and seed default to 200 and 0.  A missing A, initial_state
+    or snr raises KeyError; unknown keys are ignored."""
+    values = {"replications": 200, "seed": 0}
+    for item in fields(SimulationScenario):
+        key = FILE_KEYS.get(item.name, item.name)
+        if key in config or item.name in ("a_matrix", "initial_state", "snr"):
+            values[item.name] = config[key]
+    if "forcing" in values:
+        values["forcing"] = _basis.spec_from_config(values["forcing"])
+    return SimulationScenario(**values)
 
 
 def _clean_trajectory(scenario):
@@ -347,6 +392,10 @@ def run_monte_carlo(scenario, horizons=(2, 5, 10)):
     if horizons and max(horizons) > scenario.horizon:
         raise ValueError("scenario horizon is shorter than a requested step count")
     clean = _clean_trajectory(scenario)
+    with np.errstate(divide="ignore", over="ignore"):
+        if not np.isfinite(1.0 / clean.values).all():
+            raise ZeroValueError("the clean trajectory takes a value 0 or too near it: "
+                                 "percentage errors against it are undefined")
     sigma = noise_sigmas(scenario, clean.values[:scenario.n])
 
     reps = scenario.replications

@@ -44,6 +44,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             gm.PolynomialForcing(0)
 
+    @pytest.mark.parametrize("pairs, frequency", [(1, 1e308), (2 ** 70, 1e300),
+                                                  (1, np.inf), (1, np.nan)])
+    def test_fourier_harmonic_that_is_not_finite_is_refused(self, pairs, frequency):
+        with pytest.raises(ValueError, match="fourier frequency"):
+            gm.FourierForcing(pairs, frequency)
+
     def test_fourier_values(self):
         spec = gm.FourierForcing(pairs=1, frequency=0.25)
         # at t=1: (sin(pi/2), cos(pi/2))
@@ -131,6 +137,25 @@ class TestExogenous:
         assert spec.values(np.array([2.0 - 0.9 * tolerance]))[0, 0] == np.sin(2.0)
         with pytest.raises(AlignmentError):
             spec.values(np.array([2.0 - 1.1 * tolerance]))
+        assert spec.values(np.array([2.0 + 0.9 * tolerance]))[0, 0] == np.sin(2.0)
+        with pytest.raises(AlignmentError):
+            spec.values(np.array([2.0 + 1.1 * tolerance]))
+
+    @pytest.mark.parametrize("t", [0.1 * 3, 0.3 + 1e-12, 0.3 - 1e-12])
+    def test_rounding_error_on_either_side_aligns(self, t):
+        own = np.array([0.0, 0.1, 0.2, 0.3, 0.4])
+        spec = gm.ExogenousForcing(gm.make_series(own, 10.0 * own))
+        assert spec.values(np.array([t]))[0, 0] == 3.0
+        assert spec.antiderivatives(np.array([t]))[0, 0] == spec.antiderivatives(
+            np.array([0.3]))[0, 0]
+        with pytest.raises(AlignmentError):
+            spec.values(np.array([0.35]))
+
+    def test_rounding_error_past_the_last_sample_aligns(self):
+        spec = self.make_spec()
+        assert spec.values(np.array([4.5 * (1 + 1e-12)]))[0, 0] == np.sin(4.5)
+        with pytest.raises(AlignmentError):
+            spec.values(np.array([4.5 + 1e-6]))
 
     def test_antiderivative_matches_trapezoid(self):
         spec = self.make_spec()

@@ -193,6 +193,18 @@ class TestFit:
 
 
 class TestForecast:
+    def test_floating_point_overflow_is_a_numerical_error(self, capsys, tmp_path,
+                                                           water_csv):
+        # the antiderivative cos(w t) / w of a 5e-324 frequency overflows
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"forcing": {"kind": "fourier", "pairs": 1, "frequency": 5e-324}}))
+        code, stdout, stderr = run_cli(capsys, "fit", "--input", str(water_csv),
+                                       "--model", str(config))
+        assert code == cli.EXIT_NUMERICAL
+        assert stdout == ""
+        assert json.loads(stderr)["error"] == "FloatingPointError"
+
     def test_round_trip_fit_then_forecast_is_bit_identical(
             self, capsys, tmp_path, water_csv, matching_config):
         fitted = tmp_path / "fitted.json"
@@ -387,6 +399,27 @@ class TestSimulate:
         assert code == cli.EXIT_USAGE
         assert "need at least one replication" in json.loads(stderr)["message"]
         assert not (out / "summary.json").exists()
+
+    def test_committed_scenario_runs(self, capsys, tmp_path):
+        scenario = Path(__file__).parent / "data" / "scenario.json"
+        code, _, _ = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                             "--reps", "3", "--output", str(tmp_path))
+        assert code == cli.EXIT_OK
+        assert json.loads((tmp_path / "summary.json").read_text())["completed"] == 3
+
+    def test_file_value_an_option_overrides_is_still_checked(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "A": [[-0.25, 0.70], [0.75, -0.25]],
+            "initial_state": [1.20, 0.35],
+            "snr": 5.0, "replications": 0, "seed": 4,
+        }))
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                  "--reps", "2", "--output", str(out))
+        assert code == cli.EXIT_USAGE
+        assert "'replications'" in json.loads(stderr)["message"]
+        assert not out.exists()
 
     def test_negative_seed_refused_before_any_work(self, capsys, tmp_path):
         scenario = tmp_path / "scenario.json"

@@ -77,6 +77,12 @@ class TestBuildRegression:
 
 
 class TestFit:
+    @pytest.mark.parametrize("fit", [gm.fit_grey, gm.fit_matching])
+    def test_too_few_points_refused_before_the_forcing_is_evaluated(self, water_train, fit):
+        # 2**70 harmonics could not be evaluated at all
+        with pytest.raises(InsufficientDataError, match="need at least"):
+            fit(water_train, gm.FourierForcing(2 ** 70, 1e-30))
+
     def test_water_quadratic_development_coefficient(self, water_train):
         model = gm.fit_grey(water_train, gm.PolynomialForcing(2))
         assert model.A[0, 0] == pytest.approx(-0.04578, abs=5e-5)
@@ -387,6 +393,13 @@ class TestGrowthGuard:
             respond(-3.0)
         assert np.allclose(respond(3.0)[:, 0], np.exp(3.0 * (t - 20.0)),
                            rtol=1e-12, atol=0.0)
+
+    def test_norm_that_overflows_goes_on_to_the_eigenvalues(self):
+        # |A|_1 * span overflows; the eigenvalues then refuse the growth
+        a = np.array([[1e308, 1e308], [0.0, 1.0]])
+        with pytest.raises(OverflowGuardError, match="budget"):
+            grey.linear_response(a, np.zeros((2, 0)), None, gm.ZeroForcing(),
+                                 np.ones(2), 0.0, np.arange(3.0))
 
     def test_overflowing_response_is_refused(self):
         # dz/dt = -0.05 z + 1e307 t reaches past the largest double; the

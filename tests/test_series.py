@@ -148,6 +148,13 @@ class TestMape:
         with pytest.raises(ZeroValueError, match="index 1"):
             gm.mape(actual, predicted, 1)
 
+    def test_percentage_error_that_overflows_rejected(self):
+        # 1 / 5e-324 overflows: the error is refused, not reported as inf
+        actual = gm.make_series([1, 2], [[1.0], [5e-324]])
+        predicted = gm.make_series([1, 2], [[1.0], [1.0]])
+        with pytest.raises(ZeroValueError, match="5e-324 at index 1"):
+            gm.mape(actual, predicted, 1)
+
     def test_component_reordering_invariance(self):
         rng = np.random.default_rng(4)
         a = np.abs(rng.normal(size=(6, 3))) + 1

@@ -1,10 +1,13 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import greymatch as gm
 from greymatch import cli, repro, simulate
+from greymatch.errors import ZeroValueError
 
 
 def scenario(sim_system, **overrides):
@@ -89,6 +92,16 @@ class TestScenario:
         ("t_span", 5.0),
         ("a_matrix", [["-0.25", "0.7"], ["0.75", "-0.25"]]),
         ("initial_state", [True, False]),
+        ("a_matrix", [[-0.25, True], [0.75, -0.25]]),
+        ("a_matrix", [[-0.25, 0.7], [0.75]]),
+        ("include_constant", "false"),
+        ("include_constant", 0),
+        ("forcing", {"kind": "zero"}),
+        ("step", 1e-320),
+        pytest.param("snr", 10 ** 400, id="snr-10**400"),
+        ("snr", 1e200),
+        ("snr", 1e-200),
+        ("forcing", gm.PolynomialForcing(18)),
     ])
     def test_values_out_of_range_are_named(self, sim_system, field, value):
         with pytest.raises(ValueError, match=f"^{field!r} must be"):
@@ -98,6 +111,35 @@ class TestScenario:
     def test_requested_horizons_must_be_counts(self, sim_system, horizons):
         with pytest.raises(ValueError, match="^'horizons' must hold integers >= 1"):
             gm.run_monte_carlo(scenario(sim_system, replications=1), horizons)
+
+    @pytest.mark.parametrize("overrides", [
+        {"step": 1e-320},
+        {"step": 1e-9},
+        {"horizon": simulate.MAX_SAMPLES - 20},
+        {"horizon": 2 ** 70},
+    ])
+    def test_sample_count_refused_before_allocating(self, sim_system, overrides):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^'step' must be"):
+                scenario(sim_system, **overrides)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+    def test_sample_cap_is_inclusive(self, sim_system):
+        sc = scenario(sim_system, horizon=simulate.MAX_SAMPLES - 21)
+        assert sc.n + sc.horizon == simulate.MAX_SAMPLES
+
+    def test_reals_are_kept_as_python_floats(self, sim_system):
+        sc = scenario(sim_system, snr=5, step=np.float64(0.5), t_span=[0, 5],
+                      noise_exponent=2, noise_scale=np.int64(1),
+                      include_constant=np.bool_(True))
+        assert (sc.snr, sc.step, sc.t_span) == (5.0, 0.5, (0.0, 5.0))
+        assert {type(v) for v in (sc.snr, sc.step, *sc.t_span, sc.noise_exponent,
+                                  sc.noise_scale)} == {float}
+        assert sc.include_constant is True
 
     def test_edge_values_pass(self, sim_system):
         sc = scenario(sim_system, horizon=0, noise_scale=0.0, noise_exponent=-1.0)
@@ -112,6 +154,46 @@ class TestScenario:
         sc = scenario(sim_system, snr=4.0, noise_exponent=0.5, noise_scale=1.0)
         clean = np.array([[0.0, 0.0], [np.sqrt(2.0), np.sqrt(2.0)]])
         assert np.allclose(simulate.noise_sigmas(sc, clean), [0.5, 0.5])
+
+
+class TestUndefinedPercentageErrors:
+    @pytest.mark.parametrize("state", [[0.0, 0.35], [1.2, 5e-324]])
+    def test_clean_value_without_a_finite_reciprocal_is_refused(self, sim_system, state):
+        with pytest.raises(ZeroValueError, match="percentage errors"):
+            gm.run_monte_carlo(scenario(sim_system, initial_state=state))
+
+
+class TestScenarioFromConfig:
+    def test_file_keys_and_defaults(self, sim_system):
+        a_true, eta_true = sim_system
+        sc = simulate.scenario_from_config({
+            "A": a_true.tolist(), "initial_state": eta_true.tolist(), "snr": 5,
+            "B": [[1.0], [0.5]], "forcing": {"kind": "polynomial", "degree": 1},
+            "unknown": "ignored"})
+        want = gm.SimulationScenario(
+            a_true, eta_true, 5.0, 200, 0, forcing=gm.PolynomialForcing(1),
+            b_matrix=np.array([[1.0], [0.5]]))
+        for item in dataclasses.fields(sc):
+            got, expected = getattr(sc, item.name), getattr(want, item.name)
+            assert type(got) is type(expected)
+            assert np.array_equal(got, expected) if isinstance(got, np.ndarray) \
+                else got == expected
+
+    @pytest.mark.parametrize("key", ["A", "initial_state", "snr"])
+    def test_missing_required_key_is_named(self, sim_system, key):
+        a_true, eta_true = sim_system
+        config = {"A": a_true.tolist(), "initial_state": eta_true.tolist(), "snr": 5}
+        del config[key]
+        with pytest.raises(KeyError, match=key):
+            simulate.scenario_from_config(config)
+
+    @pytest.mark.parametrize("key, name", [("A", "a_matrix"), ("B", "b_matrix")])
+    def test_refusal_names_the_field_and_its_file_key(self, sim_system, key, name):
+        a_true, eta_true = sim_system
+        config = {"A": a_true.tolist(), "initial_state": eta_true.tolist(),
+                  "snr": 5, key: [["1", 0.0], [0.0, 1.0]]}
+        with pytest.raises(ValueError, match=f"^'{name}' must be .*file key '{key}'"):
+            simulate.scenario_from_config(config)
 
 
 class TestGenerateTrajectory:
