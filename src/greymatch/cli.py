@@ -162,14 +162,14 @@ def _print_report(report, verbose):
         print(f"note: {note}")
     shown = report.rows if verbose else failures
     for row in shown:
-        if not row.get("checked", True):
+        if not row["checked"]:
             status = "info"
         else:
             status = "ok" if row["passed"] else "FAIL"
         print(f"  [{status}] {row['model']:12s} {row['item']:22s} "
               f"computed {row['computed']:12.4f}  reference {row['reference']:12.4f}  "
               f"diff {row['diff']:.2e} (tol {row['tolerance']:.2e})")
-    checked = [r for r in report.rows if r.get("checked", True)]
+    checked = [r for r in report.rows if r["checked"]]
     print(f"{len(checked) - len(failures)}/{len(checked)} checked cells within "
           f"tolerance ({len(report.rows) - len(checked)} informational)")
     return EXIT_OK if report.passed else EXIT_TOLERANCE

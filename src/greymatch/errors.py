@@ -54,7 +54,7 @@ class StrategyError(NumericalError):
 
 
 class OverflowGuardError(NumericalError):
-    """Requested time response would overflow the matrix exponential."""
+    """A time response, or a noise level, overflows double precision."""
 
 
 # The failure record of the stacked computation in progress, if any.

@@ -66,7 +66,9 @@ class TimeGrid:
         if horizon == 0:
             return self
         step = self.points[-1] - self.points[-2] if len(self.points) > 1 else 1.0
-        extra = self.points[-1] + step * np.arange(1, horizon + 1)
+        # a time that overflows is refused by name below
+        with np.errstate(over="ignore"):
+            extra = self.points[-1] + step * np.arange(1, horizon + 1)
         return TimeGrid(np.concatenate([self.points, extra]))
 
 
@@ -121,7 +123,9 @@ def _row_weights(weights, values):
 def cusum(series):
     """Interval-weighted running sum: y(t_k) = sum_{i<=k} h_i x(t_i)."""
     h = _row_weights(series.grid.intervals, series.values)
-    return VectorSeries(series.grid, np.cumsum(h * series.values, axis=-2))
+    # a sum that overflows is refused by name in VectorSeries
+    with np.errstate(over="ignore"):
+        return VectorSeries(series.grid, np.cumsum(h * series.values, axis=-2))
 
 
 def inverse_cusum(series):
@@ -140,10 +144,12 @@ def integrate_piecewise_linear(series):
     x = series.values
     h = _row_weights(series.grid.intervals, x)
     # cumsum adds the increments in row order, so each row rounds exactly
-    # as a running sum does
-    increments = np.concatenate(
-        [x[..., :1, :], 0.5 * h[1:] * (x[..., :-1, :] + x[..., 1:, :])], axis=-2)
-    return VectorSeries(series.grid, np.cumsum(increments, axis=-2))
+    # as a running sum does; a sum that overflows is refused by name in
+    # VectorSeries
+    with np.errstate(over="ignore"):
+        increments = np.concatenate(
+            [x[..., :1, :], 0.5 * h[1:] * (x[..., :-1, :] + x[..., 1:, :])], axis=-2)
+        return VectorSeries(series.grid, np.cumsum(increments, axis=-2))
 
 
 @dataclass(frozen=True)
@@ -154,6 +160,26 @@ class ErrorReport:
     mape_out: np.ndarray
     ape: np.ndarray
     split_index: int
+
+
+def percentage_errors(predicted, actual):
+    """Absolute percentage errors |predicted - actual| / actual * 100,
+    elementwise, formed in one buffer; predicted may carry leading stack
+    axes ahead of actual's.  ZeroValueError names the first actual value
+    against which an error is not finite: a zero, or a value so near zero
+    that the error overflows."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ape = np.subtract(predicted, actual)
+        ape /= actual
+        np.abs(ape, out=ape)
+        ape *= 100.0
+    if not np.isfinite(ape).all():
+        # its position in actual: (index, component), or component alone
+        *row, col = np.argwhere(~np.isfinite(ape))[0][ape.ndim - np.ndim(actual):]
+        where = f"index {row[0]} (component {col})" if row else f"component {col}"
+        raise ZeroValueError(f"actual value {float(actual[(*row, col)])!r} at {where}; "
+                             "percentage errors against it are undefined")
+    return ape
 
 
 def mape(actual, predicted, split_index):
@@ -167,14 +193,7 @@ def mape(actual, predicted, split_index):
     n = actual.n
     if not 1 <= split_index <= n:
         raise ValueError(f"split_index must be in [1, {n}], got {split_index}")
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        ape = np.abs((predicted.values - actual.values) / actual.values) * 100.0
-    bad_rows, bad_cols = np.nonzero(~np.isfinite(ape))
-    if len(bad_rows):
-        raise ZeroValueError(
-            f"actual value {float(actual.values[bad_rows[0], bad_cols[0]])!r} at index "
-            f"{bad_rows[0]} (component {bad_cols[0]}); percentage error undefined"
-        )
+    ape = percentage_errors(predicted.values, actual.values)
     mape_in = ape[:split_index].mean(axis=0)
     if split_index < n:
         mape_out = ape[split_index:].mean(axis=0)

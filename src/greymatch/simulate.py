@@ -30,9 +30,9 @@ Philox keys of a whole block are computed in one vectorised pass of
 numpy's SeedSequence hash, bit for bit, and one reused Philox takes each
 key in turn (counter 0, empty buffer), so no SeedSequence, Philox or
 Generator is built per replication.  A replication that fails (a singular
-design, a singular I - A, a response the overflow guard refuses) is a
-masked row of the block, recorded with its error class by
-errors.record_failures, and left out of the metrics.
+design, a singular I - A, a response that overflows) is a masked row of
+the block, recorded with its error class by errors.record_failures, and
+left out of the metrics.
 """
 
 import math
@@ -45,7 +45,7 @@ from . import basis as _basis
 from . import grey as _grey
 from . import matching as _matching
 from . import series as _series
-from .errors import ZeroValueError, record_failures
+from .errors import OverflowGuardError, record_failures
 
 QUARTILE_LEVELS = (0, 25, 50, 75, 100)
 
@@ -196,9 +196,15 @@ def _clean_trajectory(scenario):
 
 
 def noise_sigmas(scenario, clean_in_values):
-    """Per-component noise standard deviations for a scenario."""
-    spread = clean_in_values.std(axis=0, ddof=1)
-    return scenario.noise_scale * spread / scenario.snr ** scenario.noise_exponent
+    """Per-component noise standard deviations for a scenario;
+    OverflowGuardError when one is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = clean_in_values.std(axis=0, ddof=1)
+        sigma = scenario.noise_scale * spread / scenario.snr ** scenario.noise_exponent
+    if not np.isfinite(sigma).all():
+        raise OverflowGuardError(f"noise standard deviations {sigma.tolist()} overflow "
+                                 "double precision")
+    return sigma
 
 
 # numpy's SeedSequence hash (O'Neill's seed_seq mix) and its pool size.
@@ -336,16 +342,6 @@ def _time_mean(values):
     return rows.sum(axis=0).reshape(count, d) / n
 
 
-def _fit_error(pred, clean):
-    """The time mean of the absolute percentage errors |pred - clean| /
-    clean * 100 of a stack of in-sample predictions, formed in one buffer."""
-    ape = np.subtract(pred, clean)
-    ape /= clean
-    np.abs(ape, out=ape)
-    ape *= 100.0
-    return _time_mean(ape)
-
-
 def _replication_block(scenario, clean, sigma, replications, horizons):
     """Fit both pipelines to a block of replications in one stacked pass and
     score them against the clean trajectory.  Returns the metrics, one row
@@ -366,9 +362,10 @@ def _replication_block(scenario, clean, sigma, replications, horizons):
             pred = _grey.predict_on_grid(model, clean.grid).values
             for k in horizons:
                 idx = n - 1 + k
-                metrics[f"{name}_step{k}"] = np.abs(
-                    (pred[:, idx] - clean.values[idx]) / clean.values[idx]) * 100.0
-            metrics[f"{name}_fit"] = _fit_error(pred[:, :n], clean_in)
+                metrics[f"{name}_step{k}"] = _series.percentage_errors(
+                    pred[:, idx], clean.values[idx])
+            metrics[f"{name}_fit"] = _time_mean(
+                _series.percentage_errors(pred[:, :n], clean_in))
             del pred
     return metrics, failures
 
@@ -392,10 +389,6 @@ def run_monte_carlo(scenario, horizons=(2, 5, 10)):
     if horizons and max(horizons) > scenario.horizon:
         raise ValueError("scenario horizon is shorter than a requested step count")
     clean = _clean_trajectory(scenario)
-    with np.errstate(divide="ignore", over="ignore"):
-        if not np.isfinite(1.0 / clean.values).all():
-            raise ZeroValueError("the clean trajectory takes a value 0 or too near it: "
-                                 "percentage errors against it are undefined")
     sigma = noise_sigmas(scenario, clean.values[:scenario.n])
 
     reps = scenario.replications

@@ -105,6 +105,17 @@ class TestFit:
                                   "--split", "12", "--train-fraction", "0.8")
         assert code == cli.EXIT_USAGE
 
+    def test_train_fraction_is_the_split_it_rounds_to(self, capsys, water_csv,
+                                                      matching_config):
+        fit = ("fit", "--input", str(water_csv), "--model", str(matching_config))
+        code, by_fraction, _ = run_cli(capsys, *fit, "--train-fraction", "0.8")
+        assert code == cli.EXIT_OK
+        assert json.loads(by_fraction)["split_index"] == 12
+        assert by_fraction == run_cli(capsys, *fit, "--split", "12")[1]
+        code, _, stderr = run_cli(capsys, *fit, "--train-fraction", "0.02")
+        assert code == cli.EXIT_USAGE
+        assert "split index 0 " in json.loads(stderr)["message"]
+
     def test_background_lambda_outside_unit_interval(self, capsys, tmp_path,
                                                      water_csv):
         config = tmp_path / "grey.json"
@@ -334,7 +345,7 @@ class TestForecast:
         fitted = tmp_path / "explosive.json"
         fitted.write_text(json.dumps({
             "model": "grey", "d": 1, "forcing": {"kind": "zero"},
-            "A": [[2.0]], "B": [[]], "c": [0.0], "eta": [1.0],
+            "A": [[30.0]], "B": [[]], "c": [0.0], "eta": [1.0],
             "strategy": "fixed_first", "lambda": 0.5, "t1": 0.0,
         }))
         data = tmp_path / "long.csv"
@@ -399,6 +410,18 @@ class TestSimulate:
         assert code == cli.EXIT_USAGE
         assert "need at least one replication" in json.loads(stderr)["message"]
         assert not (out / "summary.json").exists()
+
+    def test_noise_level_that_overflows_is_a_numerical_error(self, capsys, tmp_path):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps({
+            "A": [[-0.25, 0.70], [0.75, -0.25]],
+            "initial_state": [1.20, 1e300],
+            "snr": 5.0, "replications": 3,
+        }))
+        code, _, stderr = run_cli(capsys, "simulate", "--scenario", str(scenario),
+                                  "--output", str(tmp_path / "out"))
+        assert code == cli.EXIT_NUMERICAL
+        assert json.loads(stderr)["error"] == "OverflowGuardError"
 
     def test_committed_scenario_runs(self, capsys, tmp_path):
         scenario = Path(__file__).parent / "data" / "scenario.json"

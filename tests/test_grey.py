@@ -295,12 +295,13 @@ class TestStackedFits:
     def test_least_squares_guard_masks_its_slice_with_one_check(
             self, water_train, monkeypatch):
         y = gm.cusum(water_train)
-        a = np.array([[[-0.2]], [[30.0]], [[0.1]]])  # |A| * span > 50 in slice 1
+        # exp(A (t - t1)) grows by e^1100 over the span 11 in slice 1
+        a = np.array([[[-0.2]], [[100.0]], [[0.1]]])
         b, c = np.zeros((3, 1, 0)), np.array([[1.5], [2.0], [0.5]])
         checks = []
-        guarded = grey._guarded
-        monkeypatch.setattr(grey, "_guarded",
-                            lambda *args: checks.append(1) or guarded(*args))
+        respond = grey.linear_response
+        monkeypatch.setattr(grey, "linear_response",
+                            lambda *args: checks.append(1) or respond(*args))
         with record_failures(3) as failed:
             eta = grey.select_initial_value(y, a, b, c, gm.ZeroForcing(),
                                             "least_squares")
@@ -341,13 +342,13 @@ class TestStackedFits:
             grey.linear_response(a, b, None, gm.PolynomialForcing(1), np.ones(1), 1.0,
                                  np.arange(1.0, 101.0))
         assert "slice" not in str(refused.value)
-        with pytest.raises(OverflowGuardError, match="budget") as refused:
-            grey.linear_response(np.array([[3.0]]), np.zeros((2, 1, 0)), None,
+        with pytest.raises(OverflowGuardError, match="overflows") as refused:
+            grey.linear_response(np.array([[40.0]]), np.zeros((2, 1, 0)), None,
                                  gm.ZeroForcing(), np.ones(1), 0.0, np.arange(21.0))
         assert "slice" not in str(refused.value)
 
     def test_guard_refuses_only_its_slice(self):
-        a = np.array([[[-0.2]], [[3.0]], [[0.1]]])  # |A| * span = 3 * 20 in slice 1
+        a = np.array([[[-0.2]], [[40.0]], [[0.1]]])  # growth e^(40 * 20) in slice 1
         b, c, eta = np.zeros((3, 1, 0)), np.ones((3, 1)), np.ones((3, 1))
         times = np.arange(21.0)
         with record_failures(3) as failed:
@@ -361,9 +362,9 @@ class TestStackedFits:
 
 
 class TestGrowthGuard:
-    """The overflow guard bounds the growth of exp(A t) in each march
-    direction, so a decaying march is never refused, and a response that
-    overflows anyway fails as OverflowGuardError."""
+    """The overflow guard refuses a response only when it overflows double
+    precision: growth short of that is returned, whatever its size, and a
+    decaying march is never refused."""
 
     def test_decaying_long_forecast_is_not_refused(self):
         # x = 50 e^(-0.3 t) + 5, fitted on t = 1..12 and forecast 200 steps:
@@ -381,29 +382,62 @@ class TestGrowthGuard:
         assert abs(forecast.values[-1, 0] - 5.0) < 0.05
 
     def test_backward_march_bounds_the_decay_rate(self):
-        # marched backward over 20, exp(A (t - t1)) grows by e^60 when A = -3
-        # and shrinks by e^-60 when A = +3
+        # marched backward over 20, exp(A (t - t1)) grows by e^800 when
+        # A = -40, by e^60 when A = -3, and shrinks by e^-60 when A = +3
         t = np.arange(21.0)
 
         def respond(rate):
             return grey.linear_response(np.array([[rate]]), np.zeros((1, 0)), None,
                                         gm.ZeroForcing(), np.ones(1), 20.0, t)
 
-        with pytest.raises(OverflowGuardError):
-            respond(-3.0)
-        assert np.allclose(respond(3.0)[:, 0], np.exp(3.0 * (t - 20.0)),
-                           rtol=1e-12, atol=0.0)
+        with pytest.raises(OverflowGuardError, match="overflows"):
+            respond(-40.0)
+        for rate in (-3.0, 3.0):
+            assert np.allclose(respond(rate)[:, 0], np.exp(rate * (t - 20.0)),
+                               rtol=1e-12, atol=0.0)
 
-    def test_norm_that_overflows_goes_on_to_the_eigenvalues(self):
-        # |A|_1 * span overflows; the eigenvalues then refuse the growth
+    def test_norm_that_overflows_is_refused(self):
+        # |A|_1 * span overflows, so the exponent A (t - t1) does: the
+        # slice is refused without a march of A, even where exp(A t) decays,
+        # and the other slices are not
         a = np.array([[1e308, 1e308], [0.0, 1.0]])
-        with pytest.raises(OverflowGuardError, match="budget"):
+        with pytest.raises(OverflowGuardError, match="overflows"):
             grey.linear_response(a, np.zeros((2, 0)), None, gm.ZeroForcing(),
                                  np.ones(2), 0.0, np.arange(3.0))
+        stack = np.stack([-np.eye(2), -a, np.eye(2)])
+        with record_failures(3) as failed:
+            values = grey.linear_response(stack, np.zeros((3, 2, 0)), None,
+                                          gm.ZeroForcing(), np.ones((3, 2)), 0.0,
+                                          np.arange(3.0))
+        assert list(failed) == [None, OverflowGuardError, None]
+        assert not values[1].any()
+        for k, rate in ((0, -1.0), (2, 1.0)):
+            exact = np.repeat(np.exp(rate * np.arange(3.0))[:, None], 2, axis=1)
+            assert np.allclose(values[k], exact, rtol=1e-12, atol=0.0)
+
+    def test_growth_short_of_overflow_is_returned(self):
+        # growth of e^60, forward and backward, against the closed form
+        t = np.arange(21.0)
+        for rate, t1 in ((3.0, 0.0), (-3.0, 20.0)):
+            z = grey.linear_response(np.array([[rate]]), np.zeros((1, 0)), None,
+                                     gm.ZeroForcing(), np.ones(1), t1, t)
+            assert np.allclose(z[:, 0], np.exp(rate * (t - t1)), rtol=1e-12, atol=0.0)
+        # a non-normal 2 x 2 system: exp(A t) = [[e^3t, e^3t - e^2t], [0, e^2t]]
+        a = np.array([[3.0, 1.0], [0.0, 2.0]])
+        z = grey.linear_response(a, np.zeros((2, 0)), None, gm.ZeroForcing(),
+                                 np.array([0.0, 1.0]), 0.0, t)
+        exact = np.stack([np.exp(3.0 * t) - np.exp(2.0 * t), np.exp(2.0 * t)], axis=-1)
+        assert np.allclose(z, exact, rtol=1e-12, atol=0.0)
+
+    def test_empty_stack(self):
+        values = grey.linear_response(np.zeros((0, 2, 2)), np.zeros((0, 2, 0)), None,
+                                      gm.ZeroForcing(), np.zeros((0, 2)), 0.0,
+                                      np.arange(3.0))
+        assert values.shape == (0, 3, 2)
 
     def test_overflowing_response_is_refused(self):
-        # dz/dt = -0.05 z + 1e307 t reaches past the largest double; the
-        # guard passes A, the result is not finite
+        # dz/dt = -0.05 z + 1e307 t reaches past the largest double; |A|_1
+        # times the span is finite, the result is not
         a, b = np.array([[-0.05]]), np.array([[1e307]])
         args = (gm.PolynomialForcing(1), np.ones(1), 1.0, np.arange(1.0, 101.0))
         with pytest.raises(OverflowGuardError, match="overflows"):
@@ -476,7 +510,8 @@ class TestTimeResponse:
         assert np.abs(got - exact).max() < 1e-8
 
     def test_overflow_guard(self):
-        model = gm.FittedModel(np.array([[2.0]]), np.zeros((1, 0)), np.zeros(1),
+        # e^(30 * 30) exceeds the largest double
+        model = gm.FittedModel(np.array([[30.0]]), np.zeros((1, 0)), np.zeros(1),
                                np.array([1.0]), gm.ZeroForcing(), t1=0.0,
                                pipeline="grey")
         with pytest.raises(OverflowGuardError):

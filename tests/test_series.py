@@ -70,6 +70,15 @@ def integrate_piecewise_linear_loop(series):
     return gm.VectorSeries(series.grid, y)
 
 
+class TestSumsThatOverflow:
+    # each sum overflows, and the series refuses it by name without a
+    # RuntimeWarning first
+    @pytest.mark.parametrize("integral", [gm.cusum, gm.integrate_piecewise_linear])
+    def test_refused_by_name(self, integral):
+        with pytest.raises(ValueError, match="series values must be finite"):
+            integral(gm.make_series([0.0, 1.0], [1e308, 1e308]))
+
+
 class TestIntegralDiscretizations:
     def test_piecewise_constant_equals_cusum(self):
         rng = np.random.default_rng(2)
@@ -155,6 +164,14 @@ class TestMape:
         with pytest.raises(ZeroValueError, match="5e-324 at index 1"):
             gm.mape(actual, predicted, 1)
 
+    def test_stacked_errors_name_the_actual_value(self):
+        # leading axes of predicted ahead of actual's are a stack
+        predicted = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert np.array_equal(gm.series.percentage_errors(predicted, np.array([2.0, 4.0])),
+                              [[50.0, 50.0], [50.0, 0.0]])
+        with pytest.raises(ZeroValueError, match="^actual value 0.0 at component 1;"):
+            gm.series.percentage_errors(predicted, np.array([2.0, 0.0]))
+
     def test_component_reordering_invariance(self):
         rng = np.random.default_rng(4)
         a = np.abs(rng.normal(size=(6, 3))) + 1
@@ -229,6 +246,10 @@ class TestTimeGrid:
     def test_extension_uses_last_interval(self):
         grid = gm.TimeGrid(np.array([0.0, 1.0, 3.0]))
         assert np.allclose(grid.extended(2).points, [0.0, 1.0, 3.0, 5.0, 7.0])
+
+    def test_extension_that_overflows_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="time grid must be finite"):
+            gm.TimeGrid(np.array([0.0, 1e308])).extended(3)
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):

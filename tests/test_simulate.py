@@ -7,7 +7,7 @@ import pytest
 
 import greymatch as gm
 from greymatch import cli, repro, simulate
-from greymatch.errors import ZeroValueError
+from greymatch.errors import OverflowGuardError, ZeroValueError
 
 
 def scenario(sim_system, **overrides):
@@ -155,9 +155,16 @@ class TestScenario:
         clean = np.array([[0.0, 0.0], [np.sqrt(2.0), np.sqrt(2.0)]])
         assert np.allclose(simulate.noise_sigmas(sc, clean), [0.5, 0.5])
 
+    def test_sigma_that_overflows_is_refused(self, sim_system):
+        # the spread of values near 1e300 overflows, and is refused by name
+        clean = np.array([[1e300, 1.0], [-1e300, 2.0], [1e300, 3.0]])
+        with pytest.raises(OverflowGuardError, match="noise standard deviations"):
+            simulate.noise_sigmas(scenario(sim_system), clean)
+
 
 class TestUndefinedPercentageErrors:
-    @pytest.mark.parametrize("state", [[0.0, 0.35], [1.2, 5e-324]])
+    # 1 / 5e-308 is finite, but an error of 0.1 against it overflows
+    @pytest.mark.parametrize("state", [[0.0, 0.35], [1.2, 5e-324], [1.2, 5e-308]])
     def test_clean_value_without_a_finite_reciprocal_is_refused(self, sim_system, state):
         with pytest.raises(ZeroValueError, match="percentage errors"):
             gm.run_monte_carlo(scenario(sim_system, initial_state=state))
