@@ -44,9 +44,10 @@ def _load_json(path):
     return payload
 
 
-def _given(value, default):
-    """The option's value when it was given, even a falsy 0, else default."""
-    return default if value is None else value
+def _given(**options):
+    """The options that were given, even a falsy 0, as keyword arguments:
+    the called function keeps its own default for the rest."""
+    return {key: value for key, value in options.items() if value is not None}
 
 
 def _split_index(args, n):
@@ -104,8 +105,7 @@ def cmd_forecast(args):
 
 def cmd_simulate(args):
     scenario = _simulate.scenario_from_config(_load_json(args.scenario))
-    scenario = replace(scenario, replications=_given(args.reps, scenario.replications),
-                       seed=_given(args.seed, scenario.seed))
+    scenario = replace(scenario, **_given(replications=args.reps, seed=args.seed))
     summary = _simulate.run_monte_carlo(scenario)
     out_dir = Path(args.output or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -131,13 +131,12 @@ def cmd_verify(args):
         _, spec, options = _grey.read_config({**config, "model": "grey"})
         shift = np.full(data.d, args.shift)
         report = _theory.check_translation_invariance(
-            data, spec, shift=shift,
-            tol_params=_given(args.tolerance, 1e-9),
-            tol_values=_given(args.value_tolerance, 1e-8), **options)
+            data, spec, shift=shift, **options,
+            **_given(tol_params=args.tolerance, tol_values=args.value_tolerance))
     elif args.check == "proposition1":
         data = _series.read_csv(args.input)
         report = _theory.check_proposition_equal_spacing(
-            data, tolerance=_given(args.tolerance, 1e-9))
+            data, **_given(tolerance=args.tolerance))
     elif args.check == "reduction":
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
         a = -0.2 - 0.3 * rng.random()
@@ -145,9 +144,7 @@ def cmd_verify(args):
         grid = _series.TimeGrid(np.linspace(0.0, 4.0, 21))
         report = _theory.check_reduction_roundtrip(
             np.array([[a]]), rng.normal(size=(1, 2)), rng.normal(size=1),
-            rng.normal(size=1), spec, grid,
-            tolerance=_given(args.tolerance, 1e-6),
-        )
+            rng.normal(size=1), spec, grid, **_given(tolerance=args.tolerance))
     else:
         raise ValueError(f"unknown check {args.check!r}")
     json.dump(asdict(report), sys.stdout, indent=2, default=float)
@@ -177,20 +174,18 @@ def _print_report(report, verbose):
 
 def cmd_reproduce(args):
     if args.case == "water":
-        report = _repro.reproduce_water(
-            tolerance_value=_given(args.tolerance, 0.01))
+        report = _repro.reproduce_water(**_given(tolerance_value=args.tolerance))
         code = _print_report(report, args.verbose)
         print("\ncontext: reference scores of generic baselines on this split "
               "(not computed here):")
         for name, ref in _repro.BASELINE_CONTEXT.items():
             print(f"  {name}: mape_in {ref['mape_in']:.2f}  mape_out {ref['mape_out']:.2f}")
         return code
+    sample = _given(reps=args.reps, seed=args.seed)
     if args.case == "simulation-table4":
-        report = _repro.reproduce_parameter_table(reps=args.reps, seed=args.seed)
-        return _print_report(report, args.verbose)
+        return _print_report(_repro.reproduce_parameter_table(**sample), args.verbose)
     if args.case == "simulation-fig5":
-        report = _repro.reproduce_error_medians(reps=args.reps, seed=args.seed)
-        return _print_report(report, args.verbose)
+        return _print_report(_repro.reproduce_error_medians(**sample), args.verbose)
     raise ValueError(f"unknown case {args.case!r}")
 
 
@@ -241,8 +236,8 @@ def build_parser():
     rep = sub.add_parser("reproduce", help="rebuild a shipped benchmark")
     rep.add_argument("--case", required=True,
                      choices=["water", "simulation-table4", "simulation-fig5"])
-    rep.add_argument("--reps", type=int, default=200)
-    rep.add_argument("--seed", type=int, default=_repro.DEFAULT_SIM_SEED)
+    rep.add_argument("--reps", type=int)
+    rep.add_argument("--seed", type=int)
     rep.add_argument("--tolerance", type=float,
                      help="override the value tolerance of the water diff")
     rep.add_argument("--verbose", action="store_true",

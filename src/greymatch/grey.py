@@ -12,7 +12,9 @@ live here too and serve both pipelines.
 Fits, initial values, responses and predictions take a stack of series
 (VectorSeries values (R, n, d)) as well as a single one: every fitted field
 then gains the leading replication axis, and each slice gets the numbers it
-gets alone.  A slice that fails is reported through errors.fail.
+gets alone.  A slice that fails is reported through errors.fail; a time
+response that overflows is refused by the propagator that forms its
+exponent (numerics.exosystem_response), which linear_response calls.
 """
 
 from dataclasses import dataclass
@@ -22,8 +24,7 @@ import numpy as np
 from . import basis as _basis
 from . import numerics as _numerics
 from . import series as _series
-from .errors import (DataError, InsufficientDataError, OverflowGuardError,
-                     StrategyError, fail)
+from .errors import DataError, InsufficientDataError, StrategyError, fail
 
 INITIAL_STRATEGIES = ("fixed_first", "fixed_last", "least_squares",
                       "reduced_consistent", "reduced_half_step")
@@ -161,34 +162,14 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
     (R, len(times), d).  A slice is one A: leading axes of B, c or eta
     ahead of A's stack are systems marched with it (B (k, R, d, p) gives
     values (k, R, len(times), d)), and each system gets the numbers it gets
-    alone.  Fails a slice with OverflowGuardError only when its response
-    overflows double precision: when |A|_1 times the span of the march is
-    not finite, so that the exponent A (t - t1) itself overflows (the slice
-    then marches with A = 0), or when any of its systems' values is not
-    finite; a refused slice reads 0.  A time that is not finite raises
-    ValueError naming it, and a time outside the sample range of exogenous
-    forcing AlignmentError.
+    alone.  A slice whose response overflows double precision fails with
+    OverflowGuardError and reads 0 (numerics.exosystem_response); a time
+    that is not finite raises ValueError naming it, and a time outside the
+    sample range of exogenous forcing AlignmentError.
     """
-    times = np.asarray(times, dtype=float)
-    a_matrix = np.asarray(a_matrix, dtype=float)
     exo = spec.exosystem
-    # overflow shows as a non-finite exponent or result, refused below
-    with np.errstate(over="ignore", invalid="ignore"):
-        span = np.maximum(times.max(initial=t1) - t1, t1 - times.min(initial=t1))
-        # a span that is not finite is left to exosystem_response
-        unbounded = np.isfinite(span) & ~np.isfinite(
-            np.abs(a_matrix).sum(axis=-2).max(axis=-1, initial=0.0) * span)
-        values = _numerics.exosystem_response(
-            np.where(unbounded[..., None, None], 0.0, a_matrix), b_matrix @ exo.output,
-            constant, exo, eta, t1, times)
-    # a slice spans its systems (the leading axes) and its (times, d)
-    overflowed = unbounded | ~np.isfinite(values).all(
-        axis=(*range(values.ndim - a_matrix.ndim), -2, -1))
-    if not overflowed.any():
-        return values
-    fail(overflowed, OverflowGuardError,
-         "the time response overflows double precision")
-    return np.where(overflowed[..., None, None], 0.0, values)
+    return _numerics.exosystem_response(a_matrix, b_matrix @ exo.output, constant,
+                                        exo, eta, t1, times)
 
 
 def _half_step_forcing_constant(grid, B, spec):

@@ -18,15 +18,16 @@ one buffer; the knots of sampled forcing inside a run enter as kicks of
 one prefix scan, so the march makes no stop per knot, and every requested
 time is read out of the buffer at once.  Sorting, merging and the backward
 march run only for the calls that need them.  A slice that fails is
-reported through errors.fail.
+reported through errors.fail; exosystem_response, which forms the
+exponent, is the one place that refuses a response that overflows.
 """
 
 from dataclasses import dataclass
-from math import factorial, prod
+from math import factorial, isfinite, prod
 
 import numpy as np
 
-from .errors import AlignmentError, SingularDesignError, fail
+from .errors import AlignmentError, OverflowGuardError, SingularDesignError, fail
 from .series import UNIFORM_RTOL
 
 # Numerical rank threshold, relative to the largest singular value.
@@ -57,8 +58,6 @@ def solve_least_squares(design, targets):
     slice of a stack gets zero coefficients (errors.fail).
     """
     design = np.asarray(design, dtype=float)
-    if design.ndim == 1:
-        design = design[None]
     targets = np.asarray(targets, dtype=float)
     flat_target = targets.ndim == design.ndim - 1
     if flat_target:
@@ -320,6 +319,15 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     stacks that do not broadcast raise ValueError.  Every system marches
     over the same times and knots in the same products and gets the numbers
     it gets alone.  Returns an array of shape stack + (len(times), d).
+
+    A slice is one A: systems on axes ahead of A's stack (given by G, c
+    or eta) share its fate.  A slice fails with OverflowGuardError
+    (errors.fail) and reads 0 when its response overflows double
+    precision: when the generator's 1-norm times the span of the march,
+    max |t - t1|, is not finite for one of its systems, even where the
+    span alone overflows between finite times (such a slice is not
+    marched with that exponent, so expm never sees a non-finite entry),
+    or when any of its values is not finite.
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
     gain = np.asarray(gain, dtype=float)
@@ -352,6 +360,28 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
         np.abs(gen[..., :d, d:]).max(axis=(-2, -1), initial=1.0))))[..., None]
     gen[..., :d, d:] /= lift[..., None]
     gen[..., d:d + m, d:d + m] = exosystem.generator
+    # a slice is one A: systems on axes ahead of A's stack share its fate
+    systems = tuple(range(len(stack) - a_matrix.ndim + 2))
+    # overflow shows as a non-finite exponent bound or value, refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = max(times.max() - t1, t1 - times.min())
+        unbounded = ~np.isfinite(np.abs(gen).sum(axis=-2).max(
+            axis=(*systems, -1), initial=0.0) * span)
+        # an unbounded slice is not marched with its exponent, and a span
+        # that overflows leaves no slice to march
+        values = _march_both_ways(
+            np.where(unbounded[..., None, None], 0.0, gen), lift, eta, exosystem,
+            t1, times) if isfinite(span) else np.zeros(stack + (len(times), d))
+    overflowed = unbounded | ~np.isfinite(values).all(axis=(*systems, -2, -1))
+    if not overflowed.any():
+        return values
+    fail(overflowed, OverflowGuardError, "the time response overflows double precision")
+    return np.where(overflowed[..., None, None], 0.0, values)
+
+
+def _march_both_ways(gen, lift, eta, exosystem, t1, times):
+    """z at the times, marched outward from t1 (_march_out): forward, and
+    backward too when a time precedes t1."""
     if t1 <= times.min():
         z, reads = _march_out(gen, lift, eta, exosystem, t1, times, True)
         return np.ascontiguousarray(z) if reads is None else np.take(z, reads, axis=-2)

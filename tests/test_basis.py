@@ -254,6 +254,10 @@ class TestConfigRoundTrip:
         with pytest.raises(ValueError):
             gm.spec_from_config({"kind": "spline"})
 
+    def test_non_spec_rejected(self):
+        with pytest.raises(TypeError, match="unknown forcing spec"):
+            gm.spec_to_config({"kind": "zero"})
+
 
 def every_kind(own=(0.0, 0.4, 1.0, 1.3, 2.5, 3.0)):
     own = np.asarray(own)

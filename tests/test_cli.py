@@ -341,6 +341,26 @@ class TestForecast:
         assert code == cli.EXIT_DATA
         assert "'c'" in json.loads(stderr)["message"]
 
+    def test_span_that_overflows_the_generator_is_a_numerical_error(self, capsys,
+                                                                    tmp_path):
+        # |A|_1 times the span is 1e307, but the constant's column of the
+        # response generator sums to 2, and 2e308 overflows
+        fitted = tmp_path / "matching.json"
+        fitted.write_text(json.dumps({
+            "model": "matching", "d": 2, "forcing": {"kind": "zero"},
+            "A": [[0.1, 0.0], [0.0, 0.1]], "B": [[], []], "c": [1.0, 1.0],
+            "eta": [1.0, 1.0], "t1": 0.0,
+        }))
+        data = tmp_path / "far.csv"
+        data.write_text("t,x1,x2\n0,1,1\n1e308,1,1\n")
+        code, stdout, stderr = run_cli(capsys, "forecast", "--model", str(fitted),
+                                       "--input", str(data))
+        assert code == cli.EXIT_NUMERICAL
+        assert stdout == ""
+        assert json.loads(stderr) == {
+            "error": "OverflowGuardError",
+            "message": "the time response overflows double precision"}
+
     def test_overflow_guard_is_a_numerical_error(self, capsys, tmp_path):
         fitted = tmp_path / "explosive.json"
         fitted.write_text(json.dumps({
@@ -631,6 +651,25 @@ def test_non_object_json_is_a_usage_error(capsys, tmp_path, water_csv, argv):
     err = json.loads(stderr)
     assert err["error"] == "ValueError"
     assert "JSON object" in err["message"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("fit", "--input", "data.csv"), cli.EXIT_USAGE),
+    (("reproduce", "--case", "weather"), cli.EXIT_USAGE),
+    (("--help",), cli.EXIT_OK),
+    (("simulate", "--help"), cli.EXIT_OK),
+], ids=["missing option", "bad choice", "help", "command help"])
+def test_argument_parsing_exits(capsys, argv, code):
+    assert run_cli(capsys, *argv)[0] == code
+
+
+def test_missing_input_file_is_a_usage_error(capsys, tmp_path, matching_config):
+    code, stdout, stderr = run_cli(capsys, "fit", "--input", str(tmp_path / "absent.csv"),
+                                   "--model", str(matching_config))
+    assert code == cli.EXIT_USAGE
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "file_not_found" and "absent.csv" in err["message"]
 
 
 def test_import_loads_no_scipy():

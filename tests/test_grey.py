@@ -206,6 +206,12 @@ class TestInitialStrategies:
                                       np.array([1.0]), gm.PolynomialForcing(1),
                                       strategy)
 
+    def test_unknown_strategy_rejected(self):
+        y = gm.make_series(np.arange(1.0, 6.0), np.arange(1.0, 6.0))
+        with pytest.raises(ValueError, match="unknown strategy 'median'"):
+            grey.select_initial_value(y, np.eye(1), np.zeros((1, 0)), np.zeros(1),
+                                      gm.ZeroForcing(), "median")
+
     def test_least_squares_objective_dominates(self, water_train):
         spec = gm.PolynomialForcing(2)
         y = gm.cusum(water_train)
@@ -428,6 +434,22 @@ class TestGrowthGuard:
                                  np.array([0.0, 1.0]), 0.0, t)
         exact = np.stack([np.exp(3.0 * t) - np.exp(2.0 * t), np.exp(2.0 * t)], axis=-1)
         assert np.allclose(z, exact, rtol=1e-12, atol=0.0)
+
+    def test_span_that_overflows_between_finite_times_is_refused(self):
+        # t1 = 1e308 and a time at -1e308: the span, and with it the
+        # exponent, overflows whatever A is; every slice of a stack is
+        # recorded and reads 0
+        def respond(stack):
+            return grey.linear_response(-np.ones(stack + (1, 1)), np.zeros(stack + (1, 0)),
+                                        None, gm.ZeroForcing(), np.ones(stack + (1,)),
+                                        1e308, np.array([-1e308]))
+
+        with pytest.raises(OverflowGuardError, match="overflows"):
+            respond(())
+        with record_failures(3) as failed:
+            values = respond((3,))
+        assert list(failed) == [OverflowGuardError] * 3
+        assert values.shape == (3, 1, 1) and not values.any()
 
     def test_empty_stack(self):
         values = grey.linear_response(np.zeros((0, 2, 2)), np.zeros((0, 2, 0)), None,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from greymatch import (ExogenousForcing, PolynomialForcing, ZeroForcing, make_series,
                        numerics)
-from greymatch.errors import SingularDesignError, record_failures
+from greymatch.errors import OverflowGuardError, SingularDesignError, record_failures
 from greymatch.grey import linear_response
 from tests.conftest import ode_oracle
 
@@ -58,6 +58,15 @@ class TestSolveLeastSquares:
         with pytest.raises(SingularDesignError):
             numerics.solve_least_squares(np.ones((2, 3)), np.ones(2))
 
+    @pytest.mark.parametrize("design, targets, message", [
+        (np.ones((3, 2)), np.ones(4), "targets have 4 rows, design has 3"),
+        (np.array([[1.0, np.nan], [0.0, 1.0], [1.0, 1.0]]), np.ones(3), "must be finite"),
+        (np.eye(3, 2), np.array([1.0, np.inf, 0.0]), "must be finite"),
+    ], ids=["row mismatch", "nan design", "inf target"])
+    def test_malformed_input_rejected(self, design, targets, message):
+        with pytest.raises(ValueError, match=message):
+            numerics.solve_least_squares(design, targets)
+
 
 class TestStackedLeastSquares:
     """A stack of designs (R, rows, cols) is solved slice by slice."""
@@ -98,6 +107,37 @@ class TestStackedLeastSquares:
             numerics.solve_least_squares(design, targets)
         with pytest.raises(SingularDesignError, match="1 of 3 columns"):
             numerics.solve_least_squares(design[1], targets[1])
+
+
+class TestResponseOverflow:
+    """exosystem_response refuses a slice whose generator's 1-norm times
+    the span of the march is not finite, before expm sees it."""
+
+    def test_span_that_overflows_is_refused(self):
+        # t1 = 1e308 and a time at -1e308 are finite, their span is not
+        with pytest.raises(OverflowGuardError, match="overflows double precision"):
+            numerics.exosystem_response(-np.eye(1), np.zeros((1, 0)), None,
+                                        ZeroForcing().exosystem, np.ones(1), 1e308,
+                                        [-1e308])
+
+    def test_input_columns_count_in_the_bound(self):
+        # |A|_1 times the span is 1e307, but the constant's column of the
+        # generator sums to 2, and 2e308 overflows; a slice with A = 0 and
+        # no constant spans the same times and is returned as its eta
+        exo = ZeroForcing().exosystem
+        a = np.stack([0.1 * np.eye(2), np.zeros((2, 2))])
+        c = np.array([[1.0, 1.0], [0.0, 0.0]])
+        eta = np.array([[1.0, 1.0], [2.0, 3.0]])
+        times = [0.0, 1e308]
+        with pytest.raises(OverflowGuardError, match="overflows double precision"):
+            numerics.exosystem_response(a[0], np.zeros((2, 0)), c[0], exo, eta[0],
+                                        0.0, times)
+        with record_failures(2) as failed:
+            values = numerics.exosystem_response(a, np.zeros((2, 2, 0)), c, exo, eta,
+                                                 0.0, times)
+        assert list(failed) == [OverflowGuardError, None]
+        assert not values[0].any()
+        assert np.array_equal(values[1], [[2.0, 3.0], [2.0, 3.0]])
 
 
 def taylor_exponential(m, terms=60):

@@ -172,6 +172,16 @@ class TestMape:
         with pytest.raises(ZeroValueError, match="^actual value 0.0 at component 1;"):
             gm.series.percentage_errors(predicted, np.array([2.0, 0.0]))
 
+    @pytest.mark.parametrize("predicted, split, message", [
+        ([[5.0, 1.0], [6.0, 1.0], [7.0, 1.0]], 2, "matching shapes"),
+        ([5.0, 6.0, 7.0], 0, r"split_index must be in \[1, 3\], got 0"),
+        ([5.0, 6.0, 7.0], 4, r"split_index must be in \[1, 3\], got 4"),
+    ])
+    def test_malformed_arguments_rejected(self, predicted, split, message):
+        actual = gm.make_series([1, 2, 3], [5.0, 6.0, 7.0])
+        with pytest.raises(ValueError, match=message):
+            gm.mape(actual, gm.make_series([1, 2, 3], predicted), split)
+
     def test_component_reordering_invariance(self):
         rng = np.random.default_rng(4)
         a = np.abs(rng.normal(size=(6, 3))) + 1
@@ -203,6 +213,19 @@ class TestCsv:
         back = gm.read_csv(path)
         assert np.array_equal(back.grid.points, s.grid.points)
         assert np.array_equal(back.values, s.values)
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("t,x1\n1,2\n\n , \n2,3\n\n")
+        back = gm.read_csv(path)
+        assert np.array_equal(back.grid.points, [1.0, 2.0])
+        assert np.array_equal(back.values, [[2.0], [3.0]])
+
+    def test_one_column_name_per_component(self, tmp_path):
+        s = gm.make_series([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(ValueError, match="one column name per component"):
+            gm.write_csv(tmp_path / "out.csv", s, ["only"])
+        assert not (tmp_path / "out.csv").exists()
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -250,6 +273,10 @@ class TestTimeGrid:
     def test_extension_that_overflows_is_refused_by_name(self):
         with pytest.raises(ValueError, match="time grid must be finite"):
             gm.TimeGrid(np.array([0.0, 1e308])).extended(3)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            gm.TimeGrid(np.array([]))
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError):
