@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Each command imports the modules it alone uses (repro, simulate, theory)
+when it runs, so a fit or forecast process loads none of them.
+
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error,
 4 reproduction or verification tolerance failure.  Errors are emitted as a
 JSON object on stderr so callers can parse them.
@@ -17,10 +20,7 @@ import numpy as np
 from . import basis as _basis
 from . import grey as _grey
 from . import matching as _matching
-from . import repro as _repro
 from . import series as _series
-from . import simulate as _simulate
-from . import theory as _theory
 from .errors import DataError, GreymatchError, NumericalError
 
 EXIT_OK = 0
@@ -104,6 +104,8 @@ def cmd_forecast(args):
 
 
 def cmd_simulate(args):
+    from . import simulate as _simulate
+
     scenario = _simulate.scenario_from_config(_load_json(args.scenario))
     scenario = replace(scenario, **_given(replications=args.reps, seed=args.seed))
     summary = _simulate.run_monte_carlo(scenario)
@@ -123,6 +125,8 @@ def cmd_simulate(args):
 
 
 def cmd_verify(args):
+    from . import theory as _theory
+
     if args.check == "translation":
         data = _series.read_csv(args.input)
         # the check fits the grey pipeline with the config's forcing,
@@ -173,6 +177,8 @@ def _print_report(report, verbose):
 
 
 def cmd_reproduce(args):
+    from . import repro as _repro
+
     if args.case == "water":
         report = _repro.reproduce_water(**_given(tolerance_value=args.tolerance))
         code = _print_report(report, args.verbose)

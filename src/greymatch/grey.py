@@ -163,7 +163,8 @@ def linear_response(a_matrix, b_matrix, constant, spec, eta, t1, times):
     ahead of A's stack are systems marched with it (B (k, R, d, p) gives
     values (k, R, len(times), d)), and each system gets the numbers it gets
     alone.  A slice whose response overflows double precision fails with
-    OverflowGuardError and reads 0 (numerics.exosystem_response); a time
+    OverflowGuardError and reads 0 (numerics.exosystem_response), or with
+    DataError when it holds a NaN or infinite entry of A, B, c or eta; a time
     that is not finite raises ValueError naming it, and a time outside the
     sample range of exogenous forcing AlignmentError.
     """

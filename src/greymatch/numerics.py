@@ -27,7 +27,8 @@ from math import factorial, isfinite, prod
 
 import numpy as np
 
-from .errors import AlignmentError, OverflowGuardError, SingularDesignError, fail
+from .errors import (AlignmentError, DataError, OverflowGuardError, SingularDesignError,
+                     fail)
 from .series import UNIFORM_RTOL
 
 # Numerical rank threshold, relative to the largest singular value.
@@ -327,7 +328,9 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     max |t - t1|, is not finite for one of its systems, even where the
     span alone overflows between finite times (such a slice is not
     marched with that exponent, so expm never sees a non-finite entry),
-    or when any of its values is not finite.
+    or when any of its values is not finite.  A slice so refused that holds
+    a NaN or infinite entry of A, G, c or eta fails with DataError naming
+    the first such input instead; sound calls never look.
     """
     a_matrix = np.asarray(a_matrix, dtype=float)
     gain = np.asarray(gain, dtype=float)
@@ -375,6 +378,13 @@ def exosystem_response(a_matrix, gain, constant, exosystem, eta, t1, times):
     overflowed = unbounded | ~np.isfinite(values).all(axis=(*systems, -2, -1))
     if not overflowed.any():
         return values
+    # a refused slice with a non-finite input is bad data, not an overflow
+    for name, given, axes in (("A", a_matrix, (-2, -1)), ("the gain", gain, (-2, -1)),
+                              ("c", constant, -1), ("eta", eta, -1)):
+        if given is not None:
+            bad = np.broadcast_to(~np.isfinite(given).all(axis=axes), stack).any(axis=systems)
+            if bad.any():
+                fail(bad, DataError, f"{name} holds a non-finite entry")
     fail(overflowed, OverflowGuardError, "the time response overflows double precision")
     return np.where(overflowed[..., None, None], 0.0, values)
 

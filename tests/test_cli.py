@@ -672,16 +672,36 @@ def test_missing_input_file_is_a_usage_error(capsys, tmp_path, matching_config):
     assert err["error"] == "file_not_found" and "absent.csv" in err["message"]
 
 
-def test_import_loads_no_scipy():
-    # scipy is a test-only dependency: a fresh process that imports the
-    # command line must not load any part of it
+def loaded_modules(statement):
+    """The greymatch and scipy modules a fresh process holds after statement."""
     source = str(Path(gm.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, greymatch.cli; "
-         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        [sys.executable, "-c", f"import sys; {statement}; print(sorted(m for m in "
+         "sys.modules if m.split('.')[0] in ('greymatch', 'scipy')))"],
         capture_output=True, text=True, check=True, timeout=120,
         env={**os.environ, "PYTHONPATH": source})
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency, and the Monte Carlo harness, the
+    # theory checks and the reproduction tables load only in the commands
+    # that use them: a fresh process that imports the command line loads
+    # the fit and forecast modules alone
+    assert loaded_modules("import greymatch.cli") == str([
+        "greymatch", "greymatch.basis", "greymatch.cli", "greymatch.errors",
+        "greymatch.grey", "greymatch.matching", "greymatch.numerics",
+        "greymatch.series"])
+
+
+def test_package_import_loads_no_study_module():
+    loaded = loaded_modules("import greymatch")
+    for name in ("simulate", "theory", "repro"):
+        assert f"greymatch.{name}" not in loaded
+    # the first access to a name of simulate loads simulate alone
+    loaded = loaded_modules("import greymatch; greymatch.run_monte_carlo")
+    assert "greymatch.simulate" in loaded
+    assert "greymatch.theory" not in loaded and "greymatch.repro" not in loaded
 
 
 class TestReproduce:

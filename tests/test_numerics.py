@@ -6,10 +6,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greymatch import (ExogenousForcing, PolynomialForcing, ZeroForcing, make_series,
-                       numerics)
-from greymatch.errors import OverflowGuardError, SingularDesignError, record_failures
+from greymatch import (ExogenousForcing, PolynomialForcing, TimeGrid, ZeroForcing,
+                       make_series, numerics)
+from greymatch.errors import (DataError, OverflowGuardError, SingularDesignError,
+                              record_failures)
 from greymatch.grey import linear_response
+from greymatch.theory import check_reduction_roundtrip
 from tests.conftest import ode_oracle
 
 
@@ -138,6 +140,55 @@ class TestResponseOverflow:
         assert list(failed) == [OverflowGuardError, None]
         assert not values[0].any()
         assert np.array_equal(values[1], [[2.0, 3.0], [2.0, 3.0]])
+
+
+class TestNonFiniteInput:
+    """A NaN or infinite entry of A, the gain, c or eta is bad data, refused
+    as DataError naming the input, through every caller of
+    exosystem_response; it is not reported as an overflow."""
+
+    SPEC = PolynomialForcing(1)
+    TIMES = [0.5, 1.0, 2.0]
+
+    @classmethod
+    def respond(cls, a, b, c, eta):
+        exo = cls.SPEC.exosystem
+        return numerics.exosystem_response(a, b @ exo.output, c, exo, eta, 0.0, cls.TIMES)
+
+    @classmethod
+    def linear_response(cls, a, b, c, eta):
+        return linear_response(a, b, c, cls.SPEC, eta, 0.0, cls.TIMES)
+
+    @classmethod
+    def roundtrip(cls, a, b, c, eta):
+        return check_reduction_roundtrip(a, b, c, eta, cls.SPEC,
+                                         TimeGrid(np.array([0.0, *cls.TIMES])))
+
+    @pytest.mark.parametrize("caller", ["respond", "linear_response", "roundtrip"])
+    @pytest.mark.parametrize("entry, value, name", [
+        ("a", np.nan, "A"), ("eta", np.nan, "eta"), ("eta", np.inf, "eta"),
+        ("c", np.nan, "c"), ("b", np.nan, "the gain")])
+    def test_refused_as_data_error(self, caller, entry, value, name):
+        inputs = {"a": np.array([[-0.5]]), "b": np.array([[0.3]]),
+                  "c": np.array([1.0]), "eta": np.array([2.0])}
+        inputs[entry] = np.full_like(inputs[entry], value)
+        with pytest.raises(DataError, match=f"^{name} holds a non-finite entry$"):
+            getattr(self, caller)(**inputs)
+
+    def test_stacked_slice_is_recorded_apart_from_an_overflow(self):
+        # slice 0 holds a NaN eta, slice 1 is finite and overflows, slice 2
+        # is sound and gets the numbers it gets alone
+        a = np.array([[[-0.5]], [[800.0]], [[-0.5]]])
+        b = np.full((3, 1, 1), 0.3)
+        c = np.ones((3, 1))
+        eta = np.array([[np.nan], [2.0], [2.0]])
+        with record_failures(3) as failed:
+            values = self.respond(a, b, c, eta)
+        assert list(failed) == [DataError, OverflowGuardError, None]
+        assert not values[:2].any()
+        assert np.array_equal(values[2], self.respond(a[2], b[2], c[2], eta[2]))
+        with pytest.raises(DataError, match="^slice 0 of the stack: eta holds"):
+            self.respond(a, b, c, eta)
 
 
 def taylor_exponential(m, terms=60):
